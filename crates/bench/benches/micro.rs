@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use tmo::runner::expect_all;
 use tmo_backends::{IoKind, OffloadBackend, SsdModel, ZswapAllocator, ZswapPool};
 use tmo_mm::{MemoryManager, MmConfig, PageKind, ReclaimPolicy};
 use tmo_psi::state::{StateTracker, TaskId};
@@ -12,7 +13,7 @@ use tmo_psi::{IntervalSet, PsiGroup, Resource, TaskObservation};
 use tmo_sim::rng::Zipf;
 use tmo_sim::stats::P2Quantile;
 use tmo_sim::{ByteSize, DetRng, SimDuration, SimTime};
-use tmo_workload::{AccessPlanner, AccessTrace, TemperatureClass};
+use tmo_workload::{AccessPlanner, TemperatureClass};
 
 fn psi_observe(c: &mut Criterion) {
     let mut group = c.benchmark_group("psi");
@@ -40,25 +41,6 @@ fn psi_observe(c: &mut Criterion) {
             .collect();
         b.iter(|| {
             psi.observe(window, black_box(&tasks));
-            black_box(psi.some_avg10(Resource::Memory))
-        })
-    });
-    // The batched totals form the Machine tick feeds: per-task stall
-    // totals for all three resources, no observation structs at all.
-    group.bench_function("observe_totals_8_tasks", |b| {
-        let mut psi = PsiGroup::new(8);
-        let window = SimDuration::from_millis(100);
-        let stalls: Vec<[SimDuration; 3]> = (0..8u64)
-            .map(|i| {
-                [
-                    SimDuration::from_nanos(800_000 + i * 1000),
-                    SimDuration::from_nanos(300_000 + i * 1000),
-                    SimDuration::ZERO,
-                ]
-            })
-            .collect();
-        b.iter(|| {
-            psi.observe_totals(window, black_box(&stalls));
             black_box(psi.some_avg10(Resource::Memory))
         })
     });
@@ -103,10 +85,11 @@ fn mm_paths(c: &mut Criterion) {
         let alloc = mm
             .alloc_pages(cg, PageKind::Anon, 4096, SimTime::ZERO)
             .expect("fits");
-        let mut out = Vec::new();
+        let mut swap_latencies = Vec::new();
         b.iter(|| {
-            mm.access_batch_into(&alloc.pages, SimTime::from_secs(1), &mut out);
-            black_box(out.len())
+            let stats =
+                mm.access_batch_stats(&alloc.pages, SimTime::from_secs(1), &mut swap_latencies);
+            black_box(stats.accesses)
         })
     });
     group.bench_function("reclaim_256_pages", |b| {
@@ -206,24 +189,12 @@ fn streaming_stats(c: &mut Criterion) {
     group.finish();
 }
 
-fn trace_replay(c: &mut Criterion) {
+fn access_planner(c: &mut Criterion) {
     let mut group = c.benchmark_group("workload");
     let planner = AccessPlanner::new(
         vec![TemperatureClass::new(1.0, SimDuration::from_secs(10))],
         65_536,
     );
-    let trace = AccessTrace::record(
-        &planner,
-        SimDuration::from_millis(100),
-        1000,
-        &mut DetRng::seed_from_u64(7),
-    );
-    group.bench_function("trace_replay_1000_ticks", |b| {
-        b.iter(|| {
-            let total: u64 = black_box(&trace).replay().flatten().sum();
-            black_box(total)
-        })
-    });
     group.bench_function("planner_plan", |b| {
         let mut rng = DetRng::seed_from_u64(8);
         b.iter(|| black_box(planner.plan(SimDuration::from_millis(100), &mut rng)))
@@ -282,14 +253,14 @@ fn fleet_runner_scaling(c: &mut Criterion) {
         group.bench_function(format!("run_8_hosts_jobs_{jobs}"), |b| {
             let runner = tmo::runner::FleetRunner::new(jobs);
             b.iter(|| {
-                let ticks = runner.run_seeded(5, 8, |host| {
+                let (ticks, _) = runner.run_collect_seeded(5, 8, |host| {
                     let mut machine = tmo_bench::bench_machine(host.seed);
                     for _ in 0..10 {
                         machine.tick();
                     }
                     machine.now()
                 });
-                black_box(ticks)
+                black_box(expect_all(ticks))
             })
         });
     }
@@ -301,14 +272,14 @@ fn fleet_runner_scaling(c: &mut Criterion) {
         group.bench_function(format!("run_1024_hosts_jobs_{jobs}"), |b| {
             let runner = tmo::runner::FleetRunner::new(jobs);
             b.iter(|| {
-                let (savings, _) = runner
-                    .try_run_seeded_sharded(
-                        tmo_experiments::ext_paper_scale::EXPERIMENT_SEED,
-                        1024,
-                        tmo_experiments::ext_paper_scale::run_host,
-                    )
-                    .expect("scaling hosts are fault-free");
-                black_box(tmo_experiments::ext_paper_scale::checksum_savings(&savings))
+                let (savings, _) = runner.run_collect_seeded_sharded(
+                    tmo_experiments::ext_paper_scale::EXPERIMENT_SEED,
+                    1024,
+                    tmo_experiments::ext_paper_scale::run_host,
+                );
+                black_box(tmo_experiments::ext_paper_scale::checksum_savings(
+                    &expect_all(savings),
+                ))
             })
         });
     }
@@ -320,7 +291,7 @@ criterion_group!(
     psi_observe,
     psi_state_tracker,
     streaming_stats,
-    trace_replay,
+    access_planner,
     mm_paths,
     backend_latency,
     rng_sampling,

@@ -1,11 +1,10 @@
 //! Parser and validator for the `tmo-bench-v1` JSON reports the
 //! criterion shim writes (`BENCH_micro.json` / `BENCH_figures.json`).
 //!
-//! The format is fixed-shape, so this is a cursor parser in the style
-//! of `tmo_workload::AccessTrace`'s trace parser rather than a general
-//! JSON reader: object keys must appear in the exact order the shim
-//! emits them, which doubles as the schema test's "deterministic key
-//! order" check.
+//! The format is fixed-shape, so this is a cursor parser rather than a
+//! general JSON reader: object keys must appear in the exact order the
+//! shim emits them, which doubles as the schema test's "deterministic
+//! key order" check.
 
 /// One benchmark's row in a report.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,11 +39,9 @@ pub struct BenchReport {
 /// and the zswap store/load path, plus the supporting micro groups.
 pub const REQUIRED_MICRO: &[(&str, &str)] = &[
     ("psi", "observe_8_tasks"),
-    ("psi", "observe_totals_8_tasks"),
     ("psi", "interval_union_64"),
     ("psi", "state_tracker_transition"),
     ("stats", "p2_quantile_observe"),
-    ("workload", "trace_replay_1000_ticks"),
     ("workload", "planner_plan"),
     ("mm", "access_resident_page"),
     ("mm", "access_4096_resident"),

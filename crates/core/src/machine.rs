@@ -558,7 +558,6 @@ impl Machine {
             relaxed: cfg.relaxed,
             swap_full_seen: false,
             alive: true,
-            trace: cfg.trace,
             diurnal: cfg.diurnal,
             churn_pages_per_sec: cfg
                 .file_churn
@@ -802,22 +801,13 @@ impl Machine {
         if let Some(m) = &self.modulator {
             scale *= m.demand_scale(ci, now);
         }
-        let tick_index = (self.clock.ticks() - 1) as usize;
         // The plan buffer is scratch too: `plan_into` draws the RNG in
         // exactly the order `plan` did, so swapping in the reusing form
         // leaves every downstream draw untouched.
         let mut plan = std::mem::take(&mut self.scratch.plan);
-        match &self.containers[ci].trace {
-            Some(trace) if !trace.is_empty() => {
-                plan.clear();
-                plan.extend_from_slice(
-                    trace.tick(tick_index % trace.len()).expect("index wrapped"),
-                );
-            }
-            _ => self.containers[ci]
-                .planner
-                .plan_into(dt, &mut self.rng, &mut plan),
-        }
+        self.containers[ci]
+            .planner
+            .plan_into(dt, &mut self.rng, &mut plan);
         for (class, &count) in plan.iter().enumerate() {
             let count = (count as f64 * scale).round() as u64;
             if self.containers[ci].class_pages[class].is_empty() {

@@ -23,12 +23,21 @@
 //!   [`MachineScratch`](crate::machine::MachineScratch)), never values,
 //!   so reuse is invisible to the simulation — an invariant pinned by
 //!   the `arena_reuse` test suite;
-//! * a panicking host surfaces as a [`FleetError`] naming the host
-//!   instead of hanging or poisoning the pool — and the
-//!   [`FleetRunner::run_collect`] family converts each panic into a
-//!   per-host [`HostOutcome::Failed`] record while every surviving
-//!   host's result is still reduced in index order (chaos experiments
-//!   lose one host, not the fleet).
+//! * a panicking host never hangs or poisons the pool: it becomes a
+//!   per-host [`HostOutcome::Failed`] record naming the host, while
+//!   every surviving host's result is still reduced in index order
+//!   (chaos experiments lose one host, not the fleet).
+//!
+//! # One entry point
+//!
+//! [`FleetRunner::run_collect_seeded_sharded`] is the engine and the
+//! only way to run a fleet; [`FleetRunner::run_collect_seeded`] is the
+//! same call for closures that do not want the arena. Both return every
+//! host's [`HostOutcome`] plus the [`FleetStats`] of the run. Callers
+//! that treat any host panic as fatal pass the outcomes through
+//! [`expect_all`], which panics with the lowest-index failure. Fan-outs
+//! over heterogeneous work items that carry their own seeds simply read
+//! [`HostCtx::index`] and ignore [`HostCtx::seed`].
 //!
 //! # Why shards instead of one task per host
 //!
@@ -188,7 +197,8 @@ impl fmt::Display for FleetError {
 
 impl std::error::Error for FleetError {}
 
-/// Outcome of one host in a [`FleetRunner::run_collect`] run.
+/// Outcome of one host in a [`FleetRunner::run_collect_seeded_sharded`]
+/// run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HostOutcome<T> {
     /// The host ran to completion.
@@ -200,14 +210,6 @@ pub enum HostOutcome<T> {
 impl<T> HostOutcome<T> {
     /// The completed result, if any.
     pub fn completed(&self) -> Option<&T> {
-        match self {
-            HostOutcome::Completed(value) => Some(value),
-            HostOutcome::Failed(_) => None,
-        }
-    }
-
-    /// Consumes the outcome, yielding the completed result, if any.
-    pub fn into_completed(self) -> Option<T> {
         match self {
             HostOutcome::Completed(value) => Some(value),
             HostOutcome::Failed(_) => None,
@@ -289,22 +291,20 @@ impl FleetStats {
 /// index, and shard results are merged in shard-index (= host-index)
 /// order. The closure `f` must itself be a pure function of its
 /// [`HostCtx`] (true for `Machine` simulations, which draw only from
-/// their seeded [`tmo_sim::DetRng`]); the arena handed to the sharded
-/// APIs carries allocation capacity only and must not influence
-/// results.
+/// their seeded [`tmo_sim::DetRng`]); the arena handed to the closure
+/// carries allocation capacity only and must not influence results.
 ///
 /// # Example
 ///
 /// ```
-/// use tmo::runner::FleetRunner;
+/// use tmo::runner::{expect_all, FleetRunner, HostCtx};
 ///
-/// let parallel = FleetRunner::exact(4);
-/// let sequential = FleetRunner::sequential();
-/// let f = |host: tmo::runner::HostCtx| host.seed.wrapping_mul(host.index as u64 + 1);
-/// assert_eq!(
-///     parallel.run_seeded(7, 100, f),
-///     sequential.run_seeded(7, 100, f),
-/// );
+/// let f = |host: HostCtx| host.seed.wrapping_mul(host.index as u64 + 1);
+/// let (parallel, _) = FleetRunner::exact(4).run_collect_seeded(7, 100, f);
+/// let (sequential, stats) = FleetRunner::sequential().run_collect_seeded(7, 100, f);
+/// assert_eq!(parallel, sequential);
+/// assert_eq!(stats.hosts, 100);
+/// assert_eq!(expect_all(sequential).len(), 100);
 /// ```
 #[derive(Debug, Clone)]
 pub struct FleetRunner {
@@ -370,122 +370,13 @@ impl FleetRunner {
     }
 
     /// The machine seed for `host_index` under `experiment_seed` — the
-    /// exact mapping `run_seeded` uses.
+    /// exact [`HostCtx::seed`] the fleet engine hands that host.
     pub fn host_seed(experiment_seed: u64, host_index: usize) -> u64 {
         derive_host_seed(experiment_seed, host_index as u64)
     }
 
-    /// Runs `hosts` simulations with seeds derived from
-    /// `experiment_seed`, returning results in host-index order.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first (lowest-index) host panic, naming the host.
-    pub fn run_seeded<T, F>(&self, experiment_seed: u64, hosts: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(HostCtx) -> T + Sync,
-    {
-        match self.try_run_seeded(experiment_seed, hosts, f) {
-            Ok((results, _)) => results,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Like [`FleetRunner::run_seeded`], but also returns worker stats
-    /// and surfaces host panics as a [`FleetError`].
-    pub fn try_run_seeded<T, F>(
-        &self,
-        experiment_seed: u64,
-        hosts: usize,
-        f: F,
-    ) -> Result<(Vec<T>, FleetStats), FleetError>
-    where
-        T: Send,
-        F: Fn(HostCtx) -> T + Sync,
-    {
-        self.try_run_seeded_sharded(experiment_seed, hosts, move |ctx, _| f(ctx))
-    }
-
-    /// Arena-aware form of [`FleetRunner::run_seeded`]: the closure
-    /// also receives its worker's [`ShardArena`], from which it can
-    /// recycle [`MachineScratch`] buffers across the hosts of a shard.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first (lowest-index) host panic, naming the host.
-    pub fn run_seeded_sharded<T, F>(&self, experiment_seed: u64, hosts: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(HostCtx, &mut ShardArena) -> T + Sync,
-    {
-        match self.try_run_seeded_sharded(experiment_seed, hosts, f) {
-            Ok((results, _)) => results,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Arena-aware form of [`FleetRunner::try_run_seeded`].
-    pub fn try_run_seeded_sharded<T, F>(
-        &self,
-        experiment_seed: u64,
-        hosts: usize,
-        f: F,
-    ) -> Result<(Vec<T>, FleetStats), FleetError>
-    where
-        T: Send,
-        F: Fn(HostCtx, &mut ShardArena) -> T + Sync,
-    {
-        self.execute(hosts, f, move |index| {
-            FleetRunner::host_seed(experiment_seed, index)
-        })
-    }
-
-    /// Runs `hosts` index-only simulations (no seed derivation) in
-    /// host-index order — for fan-out over heterogeneous work items that
-    /// carry their own seeds.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first (lowest-index) host panic, naming the host.
-    pub fn run<T, F>(&self, hosts: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        match self.try_run(hosts, f) {
-            Ok((results, _)) => results,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Like [`FleetRunner::run`], but also returns worker stats and
-    /// surfaces host panics as a [`FleetError`].
-    pub fn try_run<T, F>(&self, hosts: usize, f: F) -> Result<(Vec<T>, FleetStats), FleetError>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.execute(hosts, move |ctx, _| f(ctx.index), |index| index as u64)
-    }
-
-    /// Runs `hosts` index-only simulations and returns **all** per-host
-    /// outcomes in host-index order: surviving hosts as
-    /// [`HostOutcome::Completed`], panicked hosts as
-    /// [`HostOutcome::Failed`]. One bad host no longer discards the
-    /// rest of the fleet's work.
-    pub fn run_collect<T, F>(&self, hosts: usize, f: F) -> (Vec<HostOutcome<T>>, FleetStats)
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.execute_collect(hosts, move |ctx, _| f(ctx.index), |index| index as u64)
-    }
-
-    /// Like [`FleetRunner::run_collect`] with seeds derived from
-    /// `experiment_seed` — the chaos-experiment entry point: injected
-    /// host panics become per-host failure records while every
-    /// surviving host's result is still reduced in index order.
+    /// [`FleetRunner::run_collect_seeded_sharded`] for closures that do
+    /// not recycle scratch through the arena.
     pub fn run_collect_seeded<T, F>(
         &self,
         experiment_seed: u64,
@@ -499,7 +390,25 @@ impl FleetRunner {
         self.run_collect_seeded_sharded(experiment_seed, hosts, move |ctx, _| f(ctx))
     }
 
-    /// Arena-aware form of [`FleetRunner::run_collect_seeded`].
+    /// The fleet engine: runs `hosts` simulations with seeds derived
+    /// from `experiment_seed` and returns **every** per-host outcome in
+    /// host-index order — surviving hosts as [`HostOutcome::Completed`],
+    /// panicked hosts as [`HostOutcome::Failed`] — with the run's
+    /// [`FleetStats`]. The closure also receives its worker's
+    /// [`ShardArena`], from which it can recycle [`MachineScratch`]
+    /// buffers across the hosts of a shard.
+    ///
+    /// The host range is partitioned by [`shard_plan`], workers claim
+    /// whole shards off an atomic counter, every host index runs exactly
+    /// once inside its shard, and shard results are concatenated in
+    /// shard-index order — which, because shards are contiguous
+    /// ascending ranges, is host-index order.
+    ///
+    /// This is the allowlisted timing layer (see the module docs): the
+    /// clippy exemption below and the per-site `lint: allow` comments
+    /// cover the same three `Instant::now` reads, whose values are
+    /// reported to stderr only.
+    #[allow(clippy::disallowed_methods)]
     pub fn run_collect_seeded_sharded<T, F>(
         &self,
         experiment_seed: u64,
@@ -510,74 +419,13 @@ impl FleetRunner {
         T: Send,
         F: Fn(HostCtx, &mut ShardArena) -> T + Sync,
     {
-        self.execute_collect(hosts, f, move |index| {
-            FleetRunner::host_seed(experiment_seed, index)
-        })
-    }
-
-    /// The fail-fast API, built on the collect engine: completed
-    /// results are returned only when every host survived; otherwise
-    /// the lowest-index failure is the error.
-    fn execute<T, F, S>(
-        &self,
-        hosts: usize,
-        f: F,
-        seed_of: S,
-    ) -> Result<(Vec<T>, FleetStats), FleetError>
-    where
-        T: Send,
-        F: Fn(HostCtx, &mut ShardArena) -> T + Sync,
-        S: Fn(usize) -> u64 + Sync,
-    {
-        let (outcomes, stats) = self.execute_collect(hosts, f, seed_of);
-        let mut results = Vec::with_capacity(hosts);
-        let mut first_error: Option<FleetError> = None;
-        // Outcomes are in index order, so the first failure seen is the
-        // lowest-index one.
-        for outcome in outcomes {
-            match outcome {
-                HostOutcome::Completed(value) => results.push(value),
-                HostOutcome::Failed(e) => {
-                    first_error.get_or_insert(e);
-                }
-            }
-        }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok((results, stats)),
-        }
-    }
-
-    /// The single fleet engine: the host range is partitioned by
-    /// [`shard_plan`], workers claim whole shards off an atomic
-    /// counter, every host index runs exactly once inside its shard,
-    /// and shard results are concatenated in shard-index order — which,
-    /// because shards are contiguous ascending ranges, is host-index
-    /// order.
-    ///
-    /// This is the allowlisted timing layer (see the module docs): the
-    /// clippy exemption below and the per-site `lint: allow` comments
-    /// cover the same three `Instant::now` reads, whose values are
-    /// reported to stderr only.
-    #[allow(clippy::disallowed_methods)]
-    fn execute_collect<T, F, S>(
-        &self,
-        hosts: usize,
-        f: F,
-        seed_of: S,
-    ) -> (Vec<HostOutcome<T>>, FleetStats)
-    where
-        T: Send,
-        F: Fn(HostCtx, &mut ShardArena) -> T + Sync,
-        S: Fn(usize) -> u64 + Sync,
-    {
         let start = Instant::now(); // lint: allow(wall-clock) stderr-only speedup reporting via FleetStats::summary_line
         let workers = self.jobs.min(hosts).max(1);
         let shards = shard_plan(hosts, workers, OVERSUBSCRIBE);
         let run_host = |index: usize, arena: &mut ShardArena| -> HostOutcome<T> {
             let ctx = HostCtx {
                 index,
-                seed: seed_of(index),
+                seed: FleetRunner::host_seed(experiment_seed, index),
             };
             match catch_unwind(AssertUnwindSafe(|| f(ctx, arena))) {
                 Ok(value) => HostOutcome::Completed(value),
@@ -683,6 +531,25 @@ impl FleetRunner {
     }
 }
 
+/// The fail-fast policy: unwraps every host's result in host-index
+/// order.
+///
+/// # Panics
+///
+/// Panics with the lowest-index host's [`FleetError`] (its `Display`,
+/// which names the host) if any host panicked.
+pub fn expect_all<T>(outcomes: Vec<HostOutcome<T>>) -> Vec<T> {
+    // Outcomes are in index order, so the first failure met is the
+    // lowest-index one.
+    outcomes
+        .into_iter()
+        .map(|outcome| match outcome {
+            HostOutcome::Completed(value) => value,
+            HostOutcome::Failed(e) => panic!("{e}"),
+        })
+        .collect()
+}
+
 struct WorkerOutcome<T> {
     /// Shard results this worker produced, tagged by shard index.
     completed: Vec<(usize, Vec<HostOutcome<T>>)>,
@@ -706,13 +573,23 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
 
+    /// `run_collect_seeded` plus the fail-fast policy.
+    fn run_all<T: Send>(
+        runner: &FleetRunner,
+        seed: u64,
+        hosts: usize,
+        f: impl Fn(HostCtx) -> T + Sync,
+    ) -> Vec<T> {
+        expect_all(runner.run_collect_seeded(seed, hosts, f).0)
+    }
+
     #[test]
     fn results_come_back_in_host_index_order_with_hosts_far_exceeding_workers() {
-        let runner = FleetRunner::exact(4);
-        let (results, stats) = runner
-            .try_run(257, |index| index * 3)
-            .expect("no host panics");
-        assert_eq!(results, (0..257).map(|i| i * 3).collect::<Vec<_>>());
+        let (outcomes, stats) = FleetRunner::exact(4).run_collect_seeded(0, 257, |h| h.index * 3);
+        assert_eq!(
+            expect_all(outcomes),
+            (0..257).map(|i| i * 3).collect::<Vec<_>>()
+        );
         assert_eq!(stats.hosts, 257);
         assert_eq!(stats.jobs, 4);
         assert_eq!(stats.shards, shard_plan(257, 4, OVERSUBSCRIBE).len());
@@ -723,8 +600,8 @@ mod tests {
     #[test]
     fn jobs_one_degenerate_case_matches_parallel() {
         let f = |host: HostCtx| (host.index, host.seed, host.seed % 7);
-        let sequential = FleetRunner::sequential().run_seeded(11, 40, f);
-        let parallel = FleetRunner::exact(8).run_seeded(11, 40, f);
+        let sequential = run_all(&FleetRunner::sequential(), 11, 40, f);
+        let parallel = run_all(&FleetRunner::exact(8), 11, 40, f);
         assert_eq!(sequential, parallel);
     }
 
@@ -783,8 +660,8 @@ mod tests {
 
     #[test]
     fn seeds_are_per_host_and_independent_of_jobs() {
-        let seeds_seq = FleetRunner::sequential().run_seeded(42, 16, |h| h.seed);
-        let seeds_par = FleetRunner::exact(4).run_seeded(42, 16, |h| h.seed);
+        let seeds_seq = run_all(&FleetRunner::sequential(), 42, 16, |h| h.seed);
+        let seeds_par = run_all(&FleetRunner::exact(4), 42, 16, |h| h.seed);
         assert_eq!(seeds_seq, seeds_par);
         for (index, seed) in seeds_seq.iter().enumerate() {
             assert_eq!(*seed, FleetRunner::host_seed(42, index));
@@ -800,12 +677,14 @@ mod tests {
         // Count scratch handoffs: each host takes the scratch and puts
         // it back, so within one sequential worker the arena must carry
         // the same scratch through all hosts.
-        let handoffs = FleetRunner::sequential().run_seeded_sharded(5, 10, |_ctx, arena| {
-            let had = arena.has_scratch();
-            let scratch = arena.take_scratch();
-            arena.put_scratch(scratch);
-            had
-        });
+        let (outcomes, _) =
+            FleetRunner::sequential().run_collect_seeded_sharded(5, 10, |_ctx, arena| {
+                let had = arena.has_scratch();
+                let scratch = arena.take_scratch();
+                arena.put_scratch(scratch);
+                had
+            });
+        let handoffs = expect_all(outcomes);
         assert!(!handoffs[0], "first host starts with an empty arena");
         assert!(
             handoffs[1..].iter().all(|&had| had),
@@ -814,57 +693,34 @@ mod tests {
     }
 
     #[test]
-    fn panicking_host_surfaces_an_error_instead_of_hanging() {
-        let runner = FleetRunner::exact(4);
-        let err = runner
-            .try_run(64, |index| {
-                if index == 13 {
-                    panic!("boom on host 13");
-                }
-                index
+    fn expect_all_panics_with_the_lowest_failing_host() {
+        for runner in [FleetRunner::sequential(), FleetRunner::exact(4)] {
+            let caught = std::panic::catch_unwind(|| {
+                run_all(&runner, 3, 64, |h| {
+                    if h.index == 13 || h.index >= 40 {
+                        panic!("boom on host {}", h.index);
+                    }
+                    h.index
+                })
             })
-            .expect_err("host 13 panicked");
-        assert_eq!(err.host, 13);
-        assert!(err.message.contains("boom"), "message: {}", err.message);
-    }
-
-    #[test]
-    fn panicking_host_reports_lowest_index_sequentially_too() {
-        let err = FleetRunner::sequential()
-            .try_run(8, |index| {
-                if index >= 2 {
-                    panic!("late failure");
-                }
-                index
-            })
-            .expect_err("host 2 panicked");
-        assert_eq!(err.host, 2);
-        assert!(err.to_string().contains("host 2"));
-    }
-
-    #[test]
-    fn run_panics_with_host_context() {
-        let caught = std::panic::catch_unwind(|| {
-            FleetRunner::exact(2).run(4, |index| {
-                if index == 1 {
-                    panic!("kaput");
-                }
-                index
-            })
-        })
-        .expect_err("propagates");
-        let message = caught.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(message.contains("host 1"), "message: {message}");
-        assert!(message.contains("kaput"), "message: {message}");
+            .expect_err("hosts 13 and 40.. panicked");
+            let message = caught.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert_eq!(
+                message,
+                "fleet host 13 panicked: boom on host 13",
+                "jobs {}",
+                runner.jobs()
+            );
+        }
     }
 
     #[test]
     fn run_collect_keeps_survivors_alongside_failures() {
-        let (outcomes, stats) = FleetRunner::exact(4).run_collect(64, |index| {
-            if index % 10 == 3 {
-                panic!("injected panic on host {index}");
+        let (outcomes, stats) = FleetRunner::exact(4).run_collect_seeded(0, 64, |h| {
+            if h.index % 10 == 3 {
+                panic!("injected panic on host {}", h.index);
             }
-            index * 2
+            h.index * 2
         });
         assert_eq!(outcomes.len(), 64);
         assert_eq!(stats.shard_hosts.iter().sum::<usize>(), 64);
@@ -919,10 +775,10 @@ mod tests {
         // String payload, host 4 with a non-string payload. Every other
         // host in the same shard must still complete, and each failure
         // record must carry the best available message.
-        let (outcomes, _) = FleetRunner::sequential().run_collect(6, |index| match index {
-            2 => panic!("poisoned host {index}"),
-            4 => std::panic::panic_any(index as u64),
-            _ => index + 100,
+        let (outcomes, _) = FleetRunner::sequential().run_collect_seeded(0, 6, |h| match h.index {
+            2 => panic!("poisoned host 2"),
+            4 => std::panic::panic_any(4u64),
+            index => index + 100,
         });
         assert_eq!(outcomes.len(), 6);
         let string_err = outcomes[2].failure().expect("host 2 failed");
@@ -945,10 +801,8 @@ mod tests {
 
     #[test]
     fn zero_hosts_is_fine() {
-        let (results, stats) = FleetRunner::exact(4)
-            .try_run(0, |i| i)
-            .expect("empty fleet");
-        assert!(results.is_empty());
+        let (outcomes, stats) = FleetRunner::exact(4).run_collect_seeded(0, 0, |h| h.index);
+        assert!(outcomes.is_empty());
         assert_eq!(stats.hosts, 0);
         assert_eq!(stats.jobs, 1, "an empty fleet needs no workers");
         assert_eq!(stats.shards, 0);
@@ -956,7 +810,7 @@ mod tests {
 
     #[test]
     fn stats_summary_line_mentions_hosts_and_workers() {
-        let (_, stats) = FleetRunner::exact(2).try_run(40, |i| i).expect("runs");
+        let (_, stats) = FleetRunner::exact(2).run_collect_seeded(0, 40, |h| h.index);
         let line = stats.summary_line();
         assert!(line.contains("40 hosts"), "line: {line}");
         assert!(line.contains("2 worker"), "line: {line}");

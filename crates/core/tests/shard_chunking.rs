@@ -7,13 +7,14 @@
 //!    worker counts, and oversubscription factors. The deterministic
 //!    merge concatenates shard results in shard order; any hole or
 //!    overlap would silently drop or duplicate hosts.
-//! 2. The shard-chunked execution path (`run_seeded_sharded`, arenas,
-//!    work-stealing claim order) produces output identical to the plain
-//!    per-host path (`run_seeded`) for any worker count.
+//! 2. The shard-chunked execution path (`run_collect_seeded_sharded`,
+//!    arenas, work-stealing claim order) produces output identical to a
+//!    sequential arena-free run (`run_collect_seeded`) for any worker
+//!    count.
 
 use proptest::prelude::*;
 
-use tmo::runner::{shard_plan, FleetRunner, MIN_SHARD_HOSTS, OVERSUBSCRIBE};
+use tmo::runner::{expect_all, shard_plan, FleetRunner, MIN_SHARD_HOSTS, OVERSUBSCRIBE};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -86,7 +87,7 @@ proptest! {
         jobs in 1usize..9,
         seed in any::<u64>(),
     ) {
-        // The old contract: one closure call per host, no arena. The
+        // The reference: one closure call per host, no arena. The
         // host function must be a pure function of (seed, index), so a
         // keyed mix of both stands in for a simulation.
         let mix = |index: usize, host_seed: u64| {
@@ -95,19 +96,20 @@ proptest! {
             x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
             (index, x)
         };
-        let plain = FleetRunner::sequential().run_seeded(seed, hosts, |host| {
+        let (plain, _) = FleetRunner::sequential().run_collect_seeded(seed, hosts, |host| {
             mix(host.index, host.seed)
         });
         // `exact` bypasses the machine clamp: the multi-worker shard
         // claim/merge path runs even on a single-core machine.
-        let sharded = FleetRunner::exact(jobs).run_seeded_sharded(seed, hosts, |host, arena| {
-            // Exercise the arena plumbing; parked scratch must not
-            // influence results.
-            let scratch = arena.take_scratch();
-            let out = mix(host.index, host.seed);
-            arena.put_scratch(scratch);
-            out
-        });
-        prop_assert_eq!(plain, sharded);
+        let (sharded, _) = FleetRunner::exact(jobs)
+            .run_collect_seeded_sharded(seed, hosts, |host, arena| {
+                // Exercise the arena plumbing; parked scratch must not
+                // influence results.
+                let scratch = arena.take_scratch();
+                let out = mix(host.index, host.seed);
+                arena.put_scratch(scratch);
+                out
+            });
+        prop_assert_eq!(expect_all(plain), expect_all(sharded));
     }
 }

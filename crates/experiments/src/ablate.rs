@@ -13,6 +13,7 @@
 //!    step before taking the next one).
 
 use tmo::prelude::*;
+use tmo::runner::expect_all;
 use tmo_backends::ZswapAllocator as Alloc;
 
 use crate::report::{pct, ExperimentOutput, Scale};
@@ -285,7 +286,11 @@ pub fn run_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> ExperimentOu
         ReclaimPolicy::RefaultBalanced,
         ReclaimPolicy::LegacyFileFirst,
     ];
-    let balance = runner.run(2, |i| reclaim_balance(policies[i], scale));
+    let balance = expect_all(
+        runner
+            .run_collect_seeded(0, 2, |v| reclaim_balance(policies[v.index], scale))
+            .0,
+    );
     let (balanced, legacy) = (balance[0], balance[1]);
     out.line(format!(
         "   balanced: {:6.1} refaults/s + {:6.1} swapins/s = {:6.1} paging/s, {:5.1}% saved",
@@ -305,7 +310,11 @@ pub fn run_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> ExperimentOu
     out.line("    more savings at the same pressure budget)".to_string());
 
     out.line("2. reclaim knob (stateless memory.reclaim vs memory.max driving):".to_string());
-    let knob = runner.run(2, |i| reclaim_knob(i == 0, scale));
+    let knob = expect_all(
+        runner
+            .run_collect_seeded(0, 2, |v| reclaim_knob(v.index == 0, scale))
+            .0,
+    );
     let (stateless, stateful) = (knob[0], knob[1]);
     out.line(format!(
         "   stateless: {} alloc failures;  stateful limit: {} alloc failures",
@@ -313,7 +322,11 @@ pub fn run_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> ExperimentOu
     ));
 
     out.line("3. IO-PSI gate under an aggressive controller:".to_string());
-    let gate = runner.run(2, |i| io_psi_gate(i == 0, scale));
+    let gate = expect_all(
+        runner
+            .run_collect_seeded(0, 2, |v| io_psi_gate(v.index == 0, scale))
+            .0,
+    );
     let (gated, ungated) = (gate[0], gate[1]);
     out.line(format!(
         "   gated:   RPS {:7.0}, IO-PSI {:5.2}%, file cache {:6.0} MiB",
@@ -326,16 +339,24 @@ pub fn run_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> ExperimentOu
 
     out.line("4. zswap allocator (net savings fraction, 3x-compressible data):".to_string());
     let allocs = [Alloc::Zsmalloc, Alloc::Z3fold, Alloc::Zbud];
-    let alloc_savings = runner.run(allocs.len(), |i| zswap_allocator(allocs[i], scale));
+    let alloc_savings = expect_all(
+        runner
+            .run_collect_seeded(0, allocs.len(), |v| zswap_allocator(allocs[v.index], scale))
+            .0,
+    );
     for (alloc, saved) in allocs.iter().zip(alloc_savings) {
         out.line(format!("   {:<10} {}", alloc.to_string(), pct(saved)));
     }
 
     out.line("5. reclaim period (fixed step size, tuned for the 6s cadence):".to_string());
     let periods = [1u64, 6, 30];
-    let interval_results = runner.run(periods.len(), |i| {
-        reclaim_interval(SimDuration::from_secs(periods[i]), scale)
-    });
+    let interval_results = expect_all(
+        runner
+            .run_collect_seeded(0, periods.len(), |v| {
+                reclaim_interval(SimDuration::from_secs(periods[v.index]), scale)
+            })
+            .0,
+    );
     for (secs, r) in periods.iter().zip(interval_results) {
         out.line(format!(
             "   every {:>2}s: peak pressure {:5.2}%, saved {}",

@@ -39,7 +39,7 @@ use std::time::Duration;
 
 use tmo::fleet::{host_savings, summarize, FleetSummary, HostSavings};
 use tmo::prelude::*;
-use tmo::runner::{FleetRunner, ShardArena};
+use tmo::runner::{expect_all, FleetRunner, ShardArena};
 
 use crate::report::{pct, ExperimentOutput, Scale};
 
@@ -137,9 +137,8 @@ pub fn checksum_savings(hosts: &[HostSavings]) -> u64 {
 /// Runs one `(hosts, jobs)` cell.
 pub fn run_point(hosts: usize, jobs: usize) -> ScalePoint {
     let runner = FleetRunner::new(jobs);
-    let (savings, stats) = runner
-        .try_run_seeded_sharded(EXPERIMENT_SEED, hosts, run_host)
-        .expect("scaling hosts are fault-free");
+    let (outcomes, stats) = runner.run_collect_seeded_sharded(EXPERIMENT_SEED, hosts, run_host);
+    let savings = expect_all(outcomes);
     eprintln!(
         "paper_scale hosts={hosts} jobs={jobs}: {}",
         stats.summary_line()
@@ -305,14 +304,16 @@ mod tests {
         // The clamped `new(8)` path and a genuinely 8-worker `exact(8)`
         // run must agree bit-for-bit — the merge path is exercised even
         // on a single-core machine.
-        let clamped = FleetRunner::new(8)
-            .try_run_seeded_sharded(EXPERIMENT_SEED, 120, run_host)
-            .expect("fault-free")
-            .0;
-        let exact = FleetRunner::exact(8)
-            .try_run_seeded_sharded(EXPERIMENT_SEED, 120, run_host)
-            .expect("fault-free")
-            .0;
+        let clamped = expect_all(
+            FleetRunner::new(8)
+                .run_collect_seeded_sharded(EXPERIMENT_SEED, 120, run_host)
+                .0,
+        );
+        let exact = expect_all(
+            FleetRunner::exact(8)
+                .run_collect_seeded_sharded(EXPERIMENT_SEED, 120, run_host)
+                .0,
+        );
         assert_eq!(clamped, exact);
         assert_eq!(checksum_savings(&clamped), checksum_savings(&exact));
     }

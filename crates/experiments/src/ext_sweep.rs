@@ -9,6 +9,7 @@
 //! the knee: most of the savings, none of the regression.
 
 use tmo::prelude::*;
+use tmo::runner::expect_all;
 
 use crate::report::{pct, ExperimentOutput, Scale};
 
@@ -90,7 +91,10 @@ pub fn simulate(scale: Scale) -> Vec<SweepPoint> {
 
 /// Runs the full sweep, one worker per grid point.
 pub fn simulate_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> Vec<SweepPoint> {
-    runner.run(THRESHOLDS.len(), |i| run_point(THRESHOLDS[i], scale))
+    let (points, _) = runner.run_collect_seeded(0, THRESHOLDS.len(), |point| {
+        run_point(THRESHOLDS[point.index], scale)
+    });
+    expect_all(points)
 }
 
 /// Regenerates the tuning sweep, sized to the machine.

@@ -12,6 +12,7 @@
 //! recycles its pool, where zswap-only parks them in DRAM forever.
 
 use tmo::prelude::*;
+use tmo::runner::expect_all;
 
 use crate::report::{pct, ExperimentOutput, Scale};
 
@@ -90,10 +91,11 @@ pub fn simulate_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> Vec<Tie
             },
         ),
     ];
-    runner.run(backends.len(), |i| {
-        let (label, swap) = backends[i].clone();
+    let (results, _) = runner.run_collect_seeded(0, backends.len(), |backend| {
+        let (label, swap) = backends[backend.index].clone();
         run_backend(label, swap, scale)
-    })
+    });
+    expect_all(results)
 }
 
 /// Regenerates the extension comparison, sized to the machine.

@@ -8,6 +8,7 @@
 //! paper's fleet profiler did.
 
 use tmo::prelude::*;
+use tmo::runner::expect_all;
 
 use crate::report::{pct, ExperimentOutput, Scale};
 
@@ -73,8 +74,10 @@ pub fn run_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> ExperimentOu
     ));
     let mut colds = Vec::new();
     let profiles = tmo_workload::apps::figure2_apps();
-    let rows = runner.run(profiles.len(), |i| measure(&profiles[i], scale));
-    for row in rows {
+    let (rows, _) = runner.run_collect_seeded(0, profiles.len(), |app| {
+        measure(&profiles[app.index], scale)
+    });
+    for row in expect_all(rows) {
         out.line(format!(
             "{:<12} {:>10} {:>10} {:>10} {:>10}",
             row.name,

@@ -6,6 +6,7 @@
 
 use tmo::fleet::{app_savings, AppSavings};
 use tmo::prelude::*;
+use tmo::runner::expect_all;
 
 use crate::report::{pct, ExperimentOutput, Scale};
 
@@ -65,8 +66,11 @@ pub fn run_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> ExperimentOu
     let mut zswap_totals = Vec::new();
     let mut ssd_totals = Vec::new();
     let apps = tmo_workload::apps::figure9_apps();
-    let rows = runner.run(apps.len(), |i| measure(&apps[i].0, apps[i].1, scale));
-    for (row, (_, zswap)) in rows.into_iter().zip(apps) {
+    let (rows, _) = runner.run_collect_seeded(0, apps.len(), |app| {
+        let (profile, zswap) = &apps[app.index];
+        measure(profile, *zswap, scale)
+    });
+    for (row, (_, zswap)) in expect_all(rows).into_iter().zip(apps) {
         let backend = if zswap { "zswap" } else { "ssd" };
         out.line(format!(
             "{:<12} {:<10} {:>8} {:>8} {:>8}",

@@ -10,6 +10,7 @@
 //! hard Senpai can push the slower SSD backend.
 
 use tmo::prelude::*;
+use tmo::runner::expect_all;
 
 use crate::report::{pct, series_line, ExperimentOutput, Scale};
 
@@ -98,10 +99,11 @@ pub fn simulate_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> Vec<Pha
             true,
         ),
     ];
-    runner.run(phases.len(), |i| {
-        let (label, swap, senpai) = phases[i].clone();
+    let (results, _) = runner.run_collect_seeded(0, phases.len(), |phase| {
+        let (label, swap, senpai) = phases[phase.index].clone();
         run_phase(label, swap, senpai, scale)
-    })
+    });
+    expect_all(results)
 }
 
 /// Regenerates Figure 11, sized to the machine.

@@ -9,6 +9,7 @@
 //! PSI as well as memory PSI.
 
 use tmo::prelude::*;
+use tmo::runner::expect_all;
 
 use crate::report::{pct, ExperimentOutput, Scale};
 
@@ -112,10 +113,11 @@ pub fn simulate_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> Vec<Con
         ("Config A (production)", Some(config_a(scale))),
         ("Config B (aggressive)", Some(config_b(scale))),
     ];
-    runner.run(tiers.len(), |i| {
-        let (label, config) = tiers[i].clone();
+    let (results, _) = runner.run_collect_seeded(0, tiers.len(), |tier| {
+        let (label, config) = tiers[tier.index].clone();
         run_tier(label, config, scale)
-    })
+    });
+    expect_all(results)
 }
 
 /// Regenerates Figure 13, sized to the machine.

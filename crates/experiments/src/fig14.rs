@@ -7,7 +7,7 @@
 //! The figure plots the p50 and p90 swap-out rate across the cluster.
 
 use tmo::prelude::*;
-use tmo::runner::FleetRunner;
+use tmo::runner::{expect_all, FleetRunner};
 
 use crate::report::{ExperimentOutput, Scale};
 
@@ -102,8 +102,9 @@ pub fn run_host(seed: u64, scale: Scale) -> Vec<f64> {
 /// percentiles. Output is bit-identical for any worker count.
 pub fn simulate_with(runner: &FleetRunner, scale: Scale) -> Vec<DayRow> {
     let n = hosts(scale);
-    let per_host: Vec<Vec<f64>> =
-        runner.run_seeded(EXPERIMENT_SEED, n, |host| run_host(host.seed, scale));
+    let (per_host, _) =
+        runner.run_collect_seeded(EXPERIMENT_SEED, n, |host| run_host(host.seed, scale));
+    let per_host = expect_all(per_host);
 
     (0..14)
         .map(|d| {

@@ -12,7 +12,7 @@
 
 use tmo::fleet::{host_savings, summarize, FleetSummary, HostSavings};
 use tmo::prelude::*;
-use tmo::runner::{FleetRunner, FleetStats};
+use tmo::runner::{expect_all, FleetRunner, FleetStats};
 
 use crate::report::{pct, ExperimentOutput, Scale};
 
@@ -77,12 +77,11 @@ fn simulate_with_stats(
     scale: Scale,
 ) -> (Vec<HostSavings>, FleetStats, FleetSummary) {
     let mix = fleet_mix();
-    let (hosts, stats) = runner
-        .try_run_seeded(EXPERIMENT_SEED, mix.len(), |host| {
-            let (profile, zswap) = &mix[host.index];
-            run_host(profile, *zswap, host.seed, scale)
-        })
-        .expect("fleet host simulation");
+    let (outcomes, stats) = runner.run_collect_seeded(EXPERIMENT_SEED, mix.len(), |host| {
+        let (profile, zswap) = &mix[host.index];
+        run_host(profile, *zswap, host.seed, scale)
+    });
+    let hosts = expect_all(outcomes);
     let summary = summarize(&hosts);
     (hosts, stats, summary)
 }

@@ -10,7 +10,10 @@
 
 use proptest::prelude::*;
 use tmo_backends::{OffloadBackend, ZswapAllocator, ZswapPool};
-use tmo_mm::{LruTier, MemoryManager, MmConfig, PageId, PageKind, ReclaimPolicy};
+use tmo_mm::{
+    AccessOutcome, BatchAccessStats, FaultKind, LruTier, MemoryManager, MmConfig, PageId, PageKind,
+    ReclaimPolicy,
+};
 use tmo_sim::{ByteSize, SimDuration, SimTime};
 
 const PAGE: ByteSize = ByteSize::from_kib(4);
@@ -85,7 +88,7 @@ fn assert_lru_accounting(mm: &MemoryManager) {
 }
 
 /// Applies one op to `mm`, keeping `live` in sync. Batched accesses go
-/// through `access_batch`.
+/// through `access_batch_stats`, the path the Machine tick uses.
 fn apply(mm: &mut MemoryManager, live: &mut Vec<PageId>, now: SimTime, op: &Op) {
     match op {
         Op::AllocAnon(n) => {
@@ -113,7 +116,7 @@ fn apply(mm: &mut MemoryManager, live: &mut Vec<PageId>, now: SimTime, op: &Op) 
                 let ids: Vec<PageId> = (0..*n as usize)
                     .map(|k| live[(*idx as usize + k) % live.len()])
                     .collect();
-                let _ = mm.access_batch(&ids, now);
+                let _ = mm.access_batch_stats(&ids, now, &mut Vec::new());
             }
         }
         Op::Reclaim(n) => {
@@ -203,10 +206,11 @@ proptest! {
         assert_lru_accounting(&mm);
     }
 
-    /// Differential check of the batched fast path: the same access
-    /// sequence driven one page at a time and as batches produces the
-    /// identical `AccessOutcome` sequence and identical final state on
-    /// two managers built from the same config.
+    /// Differential check of the production batch path: the same access
+    /// sequence driven one page at a time through the scalar oracle and
+    /// as `access_batch_stats` batches produces equal folded totals, the
+    /// same swap-in latency sequence, and identical final state on two
+    /// managers built from the same config.
     #[test]
     fn batch_access_matches_singles(
         n_anon in 1u64..60,
@@ -235,15 +239,29 @@ proptest! {
             .iter()
             .map(|&i| pages_s[i as usize % pages_s.len()])
             .collect();
-        let mut single_outcomes = Vec::with_capacity(ids.len());
+        let mut single_totals = BatchAccessStats::default();
+        let mut single_latencies = Vec::new();
         for &id in &ids {
-            single_outcomes.push(mm_single.access(id, now));
+            let outcome = mm_single.access(id, now);
+            if let AccessOutcome::Fault { kind: FaultKind::SwapIn, latency, .. } = outcome {
+                single_latencies.push(latency.as_secs_f64());
+            }
+            single_totals.fold(outcome);
         }
-        let mut batch_outcomes = Vec::new();
+        let mut batch_totals = BatchAccessStats::default();
+        let mut batch_latencies = Vec::new();
         for chunk_ids in ids.chunks(chunk) {
-            batch_outcomes.extend(mm_batch.access_batch(chunk_ids, now));
+            let stats = mm_batch.access_batch_stats(chunk_ids, now, &mut batch_latencies);
+            batch_totals.accesses += stats.accesses;
+            batch_totals.faults += stats.faults;
+            batch_totals.swapins += stats.swapins;
+            batch_totals.refaults += stats.refaults;
+            batch_totals.stall += stats.stall;
+            batch_totals.mem_stall += stats.mem_stall;
+            batch_totals.io_stall += stats.io_stall;
         }
-        prop_assert_eq!(single_outcomes, batch_outcomes);
+        prop_assert_eq!(single_totals, batch_totals);
+        prop_assert_eq!(single_latencies, batch_latencies);
         prop_assert_eq!(mm_single.cgroup_stat(cg_s), mm_batch.cgroup_stat(cg_b));
         prop_assert_eq!(mm_single.global_stat(), mm_batch.global_stat());
         for (&a, &b) in pages_s.iter().zip(&pages_b) {

@@ -41,23 +41,36 @@ pub fn render_pressure_file(snap: &PsiSnapshot) -> String {
 
 /// Parses a pressure-file line back into `(avg10, avg60, avg300,
 /// total_us)` ratios; the inverse of [`render_pressure_file`] for one
-/// line. Returns `None` on malformed input.
+/// line. Returns `None` on malformed input: a first token other than
+/// `some` or `full`, a key that is missing, repeated or unknown, or an
+/// average that is not a finite percentage in `0..=100`.
 pub fn parse_pressure_line(line: &str) -> Option<(f64, f64, f64, u64)> {
-    let mut avg10 = None;
-    let mut avg60 = None;
-    let mut avg300 = None;
+    let mut fields = line.split_whitespace();
+    if !matches!(fields.next(), Some("some" | "full")) {
+        return None;
+    }
+    let mut avgs = [None; 3];
     let mut total = None;
-    for field in line.split_whitespace().skip(1) {
+    for field in fields {
         let (key, value) = field.split_once('=')?;
-        match key {
-            "avg10" => avg10 = value.parse::<f64>().ok().map(|v| v / 100.0),
-            "avg60" => avg60 = value.parse::<f64>().ok().map(|v| v / 100.0),
-            "avg300" => avg300 = value.parse::<f64>().ok().map(|v| v / 100.0),
-            "total" => total = value.parse::<u64>().ok(),
+        let slot = match key {
+            "avg10" => &mut avgs[0],
+            "avg60" => &mut avgs[1],
+            "avg300" => &mut avgs[2],
+            "total" => {
+                if total.replace(value.parse::<u64>().ok()?).is_some() {
+                    return None;
+                }
+                continue;
+            }
             _ => return None,
+        };
+        let pct = value.parse::<f64>().ok()?;
+        if !(0.0..=100.0).contains(&pct) || slot.replace(pct / 100.0).is_some() {
+            return None;
         }
     }
-    Some((avg10?, avg60?, avg300?, total?))
+    Some((avgs[0]?, avgs[1]?, avgs[2]?, total?))
 }
 
 #[cfg(test)]
@@ -100,5 +113,25 @@ mod tests {
         assert!(parse_pressure_line("garbage").is_none());
         assert!(parse_pressure_line("some avg10=x avg60=0 avg300=0 total=0").is_none());
         assert!(parse_pressure_line("some avg10=1.0 bogus=2").is_none());
+        for line in [
+            "bogus avg10=NaN avg60=inf avg300=-1 total=0",
+            "bogus avg10=0.00 avg60=0.00 avg300=0.00 total=0",
+            "avg10=0.00 avg60=0.00 avg300=0.00 total=0",
+            "some avg10=NaN avg60=0.00 avg300=0.00 total=0",
+            "some avg10=0.00 avg60=inf avg300=0.00 total=0",
+            "full avg10=0.00 avg60=0.00 avg300=-1 total=0",
+            "some avg10=100.01 avg60=0.00 avg300=0.00 total=0",
+            "some avg10=1.00 avg10=2.00 avg60=0.00 avg300=0.00 total=0",
+            "some avg10=1.00 avg60=0.00 avg300=0.00 total=5 total=5",
+            "some avg10=1.00 avg60=0.00 total=0",
+            "some avg10=1.00 avg60=0.00 avg300=0.00",
+            "",
+        ] {
+            assert!(parse_pressure_line(line).is_none(), "accepted {line:?}");
+        }
+        assert_eq!(
+            parse_pressure_line("full avg10=100.00 avg60=0.00 avg300=50.00 total=7"),
+            Some((1.0, 0.0, 0.5, 7))
+        );
     }
 }

@@ -52,11 +52,6 @@ impl ScenarioOutcome {
         self.blame.top_edge()
     }
 
-    /// The headline cross-container edge of the *causal* ledger.
-    pub fn top_causal_blame(&self) -> Option<BlameAttribution> {
-        self.causal.top_edge()
-    }
-
     /// Whether any container violated its SLO.
     pub fn violated(&self) -> bool {
         self.reports.iter().any(|r| r.violated)

@@ -17,8 +17,6 @@
 //! * [`webserver`] — the Web RPS model: request admission throttled to
 //!   a tail-latency target, reproducing the self-regulation of §4.2.
 //! * [`tax`] — datacenter and microservice memory-tax sidecars (§2.3).
-//! * [`access`] — access-trace recording and replay for pinned A/B
-//!   workload streams.
 //!
 //! # Example
 //!
@@ -30,14 +28,12 @@
 //! assert!((feed.cold_fraction() - 0.30).abs() < 1e-9);
 //! ```
 
-pub mod access;
 pub mod apps;
 pub mod profile;
 pub mod tax;
 pub mod temperature;
 pub mod webserver;
 
-pub use access::AccessTrace;
 pub use profile::AppProfile;
 pub use temperature::{AccessPlanner, TemperatureClass};
 pub use webserver::{DiurnalPattern, WebServerConfig, WebServerModel};

@@ -93,6 +93,14 @@ echo "==> bench smoke: scripts/bench.sh --smoke"
 # harness, the JSON shape, and keeping the benches compiling.
 ./scripts/bench.sh --smoke
 
+echo "==> perfbench: build and self-tests"
+# The end-to-end benchmark (perfbench/, its own manifest) compiles
+# against the workspace crates by path. Building and testing it here
+# makes a change that breaks an API it calls fail CI, not the
+# benchmark run that follows.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release -q --offline --manifest-path perfbench/Cargo.toml
+
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy -- -D warnings"
     cargo clippy --workspace --all-targets --offline -- -D warnings

@@ -9,7 +9,7 @@
 
 use tmo::fleet::{host_savings, summarize, FleetSummary, HostSavings};
 use tmo::prelude::*;
-use tmo::runner::FleetRunner;
+use tmo::runner::{expect_all, FleetRunner};
 use tmo_repro::{tmo, tmo_workload};
 
 const FLEET_HOSTS: usize = 6;
@@ -18,7 +18,7 @@ const FLEET_HOSTS: usize = 6;
 /// one test binary: per-host workload and backend vary with the index.
 fn run_fleet(jobs: usize, experiment_seed: u64) -> (Vec<HostSavings>, FleetSummary) {
     let runner = FleetRunner::new(jobs);
-    let hosts = runner.run_seeded(experiment_seed, FLEET_HOSTS, |host| {
+    let (hosts, _) = runner.run_collect_seeded(experiment_seed, FLEET_HOSTS, |host| {
         let server = ByteSize::from_mib(128);
         let swap = if host.index % 2 == 0 {
             SwapKind::Zswap {
@@ -44,6 +44,7 @@ fn run_fleet(jobs: usize, experiment_seed: u64) -> (Vec<HostSavings>, FleetSumma
         rt.run(SimDuration::from_mins(2));
         host_savings(rt.machine())
     });
+    let hosts = expect_all(hosts);
     let summary = summarize(&hosts);
     (hosts, summary)
 }
@@ -109,13 +110,12 @@ fn thousand_host_fleet_is_bit_identical_across_jobs() {
     const SWEEP_HOSTS: usize = 1_000;
     const SWEEP_SEED: u64 = 7100;
     let run = |jobs: usize| {
-        let (hosts, stats) = FleetRunner::exact(jobs)
-            .try_run_seeded_sharded(
-                SWEEP_SEED,
-                SWEEP_HOSTS,
-                tmo_experiments::ext_paper_scale::run_host,
-            )
-            .expect("scaling hosts are fault-free");
+        let (outcomes, stats) = FleetRunner::exact(jobs).run_collect_seeded_sharded(
+            SWEEP_SEED,
+            SWEEP_HOSTS,
+            tmo_experiments::ext_paper_scale::run_host,
+        );
+        let hosts = expect_all(outcomes);
         let summary = summarize(&hosts);
         (hosts, summary, stats)
     };
