@@ -61,7 +61,7 @@ fn mm_paths(c: &mut Criterion) {
             total_dram: ByteSize::from_mib(64),
             ..MmConfig::default()
         });
-        let cg = mm.create_cgroup("bench", None);
+        let cg = mm.create_cgroup("bench");
         let alloc = mm
             .alloc_pages(cg, PageKind::Anon, 4096, SimTime::ZERO)
             .expect("fits");
@@ -81,7 +81,7 @@ fn mm_paths(c: &mut Criterion) {
             total_dram: ByteSize::from_mib(64),
             ..MmConfig::default()
         });
-        let cg = mm.create_cgroup("bench", None);
+        let cg = mm.create_cgroup("bench");
         let alloc = mm
             .alloc_pages(cg, PageKind::Anon, 4096, SimTime::ZERO)
             .expect("fits");
@@ -105,7 +105,7 @@ fn mm_paths(c: &mut Criterion) {
                     policy: ReclaimPolicy::RefaultBalanced,
                     ..MmConfig::default()
                 });
-                let cg = mm.create_cgroup("bench", None);
+                let cg = mm.create_cgroup("bench");
                 mm.alloc_pages(cg, PageKind::Anon, 4096, SimTime::ZERO)
                     .expect("fits");
                 mm.alloc_pages(cg, PageKind::File, 4096, SimTime::ZERO)

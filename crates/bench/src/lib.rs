@@ -55,7 +55,7 @@ pub fn mm_snapshot(machine: &Machine, label: &str) -> String {
             s.file_resident.as_u64(),
             s.anon_offloaded.as_u64(),
             s.file_evicted.as_u64(),
-            s.subtree_resident.as_u64(),
+            s.resident().as_u64(),
             s.refaults_total,
             s.swapins_total,
             s.swapouts_total,

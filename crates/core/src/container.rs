@@ -34,12 +34,6 @@ pub struct ContainerConfig {
     /// Fraction of the anonymous budget allocated up front when growth
     /// is enabled (the rest arrives at `anon_growth` per second).
     pub anon_preload_fraction: f64,
-    /// Mark as strict-SLA (protected from proactive reclaim).
-    pub protected: bool,
-    /// `memory.low` kernel protection for the container's cgroup.
-    pub memory_low: Option<ByteSize>,
-    /// Parent slice cgroup to attach under (root when `None`).
-    pub slice: Option<tmo_mm::CgroupId>,
     /// Scale access intensity (and web demand) with a time-of-day curve.
     pub diurnal: Option<tmo_workload::DiurnalPattern>,
     /// Pathological file-cache churn (the §5.1 self-extracting-binary
@@ -94,7 +88,6 @@ pub struct Container {
     pub(crate) growth_pages_per_sec: f64,
     /// Fractional page carry between ticks for the growth model.
     pub(crate) growth_carry: f64,
-    pub(crate) protected: bool,
     pub(crate) relaxed: bool,
     /// Swap-exhaustion flag from the last reclaim on this container.
     pub(crate) swap_full_seen: bool,
@@ -191,7 +184,6 @@ mod tests {
         let c = ContainerConfig::default();
         assert!(c.web.is_none());
         assert!(c.anon_growth.is_none());
-        assert!(!c.protected);
         assert!(!c.relaxed);
     }
 }

@@ -33,12 +33,6 @@ impl HostSavings {
     pub fn total_fraction(&self) -> f64 {
         self.total_saved() / self.server_mem
     }
-
-    /// Tax-only savings as a fraction of server memory (Figure 10's
-    /// metric).
-    pub fn tax_fraction(&self) -> f64 {
-        (self.datacenter_tax_saved + self.microservice_tax_saved) / self.server_mem
-    }
 }
 
 /// Classifies a container as workload / datacenter tax / microservice
@@ -163,7 +157,6 @@ mod tests {
     fn host_fractions() {
         let h = host(100, 10, 9, 4);
         assert!((h.total_fraction() - 0.23).abs() < 1e-9);
-        assert!((h.tax_fraction() - 0.13).abs() < 1e-9);
     }
 
     #[test]
@@ -203,7 +196,6 @@ mod tests {
             microservice_tax_saved: ByteSize::ZERO,
         };
         assert_eq!(degenerate.total_fraction(), 0.0);
-        assert_eq!(degenerate.tax_fraction(), 0.0);
         let summary = summarize(&[degenerate, host(100, 10, 9, 4)]);
         assert!(summary.total_fraction.is_finite());
         assert!((summary.total_fraction - 0.23 / 2.0).abs() < 1e-9);

@@ -9,8 +9,8 @@
 //! into simulated datacenter hosts that can run every experiment in the
 //! paper's evaluation.
 //!
-//! * [`machine`] — [`Machine`]: one host (DRAM, CPUs, cgroup tree, swap
-//!   backend, filesystem SSD) running containerised workloads, with
+//! * [`machine`] — [`Machine`]: one host (DRAM, CPUs, per-container
+//!   cgroups, swap backend, filesystem SSD) running containerised workloads, with
 //!   per-container PSI and metric recording.
 //! * [`container`] — container instantiation from an
 //!   [`tmo_workload::AppProfile`], including the Web RPS model and lazy
@@ -56,7 +56,7 @@ pub mod runner;
 pub mod runtime;
 
 pub use container::{ContainerConfig, ContainerId};
-pub use machine::{Machine, MachineConfig, MachineScratch, SwapKind, WorkingsetProfile};
+pub use machine::{Machine, MachineConfig, MachineScratch, SwapKind};
 pub use modulate::{NullModulator, WorkloadModulator};
 pub use runner::{FleetError, FleetRunner, FleetStats, HostCtx, HostOutcome, ShardArena};
 pub use runtime::{ControllerKind, TmoRuntime};
@@ -72,9 +72,9 @@ pub mod prelude {
     pub use tmo_backends::{SsdModel, ZswapAllocator};
     pub use tmo_faults::FaultConfig;
     pub use tmo_gswap::GswapConfig;
-    pub use tmo_mm::{CgroupId, ProvenanceCharge, ReclaimPolicy, ReclaimPriority};
+    pub use tmo_mm::{CgroupId, ProvenanceCharge, ReclaimPolicy};
     pub use tmo_psi::Resource;
-    pub use tmo_senpai::{OomdConfig, PolicyMap, SenpaiConfig};
+    pub use tmo_senpai::{OomdConfig, SenpaiConfig};
     pub use tmo_sim::{ByteSize, SimDuration, SimTime};
     pub use tmo_workload::{apps, tax, AppProfile, DiurnalPattern, WebServerConfig};
 }

@@ -1,6 +1,6 @@
 //! One simulated datacenter host.
 
-use tmo_backends::{NvmDevice, OffloadBackend, SsdModel, ZswapAllocator, ZswapPool};
+use tmo_backends::{OffloadBackend, SsdModel, ZswapAllocator, ZswapPool};
 use tmo_faults::{FaultConfig, FaultPlan, FaultyBackend, HostFaults, SignalFate};
 use tmo_mm::{MemoryManager, MmConfig, PageKind, ReclaimOutcome, ReclaimPolicy};
 use tmo_psi::{PsiGroup, Resource, SpanBatch};
@@ -18,9 +18,6 @@ pub enum SwapKind {
     None,
     /// A fleet SSD model (Figure 5) with its catalog capacity.
     Ssd(SsdModel),
-    /// A fleet SSD model with an explicit swap-partition capacity (for
-    /// swap-exhaustion experiments).
-    SsdCapped(SsdModel, ByteSize),
     /// A zswap compressed-memory pool carved out of DRAM.
     Zswap {
         /// Pool capacity as a fraction of DRAM.
@@ -28,9 +25,6 @@ pub enum SwapKind {
         /// Pool allocator model.
         allocator: ZswapAllocator,
     },
-    /// A byte-addressable NVM device of the given capacity (§5.2
-    /// future tier).
-    Nvm(ByteSize),
     /// The §5.2 tiered hierarchy: a zswap pool over an SSD, with
     /// background demotion of idle warm pages.
     Tiered {
@@ -90,33 +84,6 @@ impl Default for MachineConfig {
             seed: 42,
             faults: None,
         }
-    }
-}
-
-/// A workingset profile derived from a container's resident-size series
-/// under Senpai — the §3.3 observability product: "an accurate
-/// workingset profile of the application over time" that "allows
-/// application developers to more precisely provision memory capacity".
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorkingsetProfile {
-    /// Samples the profile is computed from.
-    pub samples: usize,
-    /// Smallest resident size observed (MiB) — the controller's best
-    /// estimate of the true workingset floor.
-    pub min_mib: f64,
-    /// Median resident size (MiB).
-    pub p50_mib: f64,
-    /// 95th-percentile resident size (MiB).
-    pub p95_mib: f64,
-    /// Final resident size (MiB).
-    pub final_mib: f64,
-}
-
-impl WorkingsetProfile {
-    /// A provisioning recommendation: the p95 workingset plus a safety
-    /// headroom fraction.
-    pub fn recommended_mib(&self, headroom: f64) -> f64 {
-        self.p95_mib * (1.0 + headroom.max(0.0))
     }
 }
 
@@ -249,11 +216,6 @@ impl Machine {
         let swap: Option<Box<dyn OffloadBackend>> = match &config.swap {
             SwapKind::None => None,
             SwapKind::Ssd(model) => Some(Box::new(tmo_backends::catalog::fleet_device(*model))),
-            SwapKind::SsdCapped(model, capacity) => {
-                let mut spec = model.spec();
-                spec.capacity = *capacity;
-                Some(Box::new(tmo_backends::SsdDevice::new(spec)))
-            }
             SwapKind::Zswap {
                 capacity_fraction,
                 allocator,
@@ -267,7 +229,6 @@ impl Machine {
                     *allocator,
                 )))
             }
-            SwapKind::Nvm(capacity) => Some(Box::new(NvmDevice::new(*capacity))),
             SwapKind::Tiered {
                 zswap_fraction,
                 allocator,
@@ -445,13 +406,6 @@ impl Machine {
         )
     }
 
-    /// Creates an intermediate cgroup (a "slice" in systemd terms) to
-    /// parent containers under; `memory.max`, `memory.low`, and
-    /// `memory.reclaim` on the slice apply to the whole subtree.
-    pub fn create_slice(&mut self, name: &str) -> tmo_mm::CgroupId {
-        self.mm.create_cgroup(name, None)
-    }
-
     /// Adds a plain container for `profile` with default behaviour.
     ///
     /// # Panics
@@ -472,7 +426,7 @@ impl Machine {
         profile: &AppProfile,
         cfg: ContainerConfig,
     ) -> ContainerId {
-        let cg = self.mm.create_cgroup(&profile.name, cfg.slice);
+        let cg = self.mm.create_cgroup(&profile.name);
         self.mm.set_compress_ratio(cg, profile.compress_ratio);
         let total_pages = profile
             .mem_total
@@ -554,7 +508,6 @@ impl Machine {
             growth_remaining_pages: growth_remaining,
             growth_pages_per_sec,
             growth_carry: 0.0,
-            protected: cfg.protected,
             relaxed: cfg.relaxed,
             swap_full_seen: false,
             alive: true,
@@ -571,14 +524,6 @@ impl Machine {
             last_tick: TickStats::default(),
             series: None,
         });
-        if cfg.protected {
-            self.mm.set_priority(cg, tmo_mm::ReclaimPriority::Strict);
-        } else if cfg.relaxed {
-            self.mm.set_priority(cg, tmo_mm::ReclaimPriority::Relaxed);
-        }
-        if let Some(low) = cfg.memory_low {
-            self.mm.set_memory_low(cg, low);
-        }
         id
     }
 
@@ -1093,7 +1038,6 @@ impl Machine {
             io_some_avg10: c.psi.some_avg10(Resource::Io),
             swap_write_mbps,
             swap_full: c.swap_full_seen,
-            protected: c.protected,
             relaxed: c.relaxed,
             stale: false,
         }
@@ -1133,15 +1077,14 @@ impl Machine {
     }
 
     /// The oomd duress view of one container (§3.2.4): `full` memory
-    /// pressure plus the swap-exhaustion, telemetry-staleness, and
-    /// protection context a kill decision must respect.
+    /// pressure plus the swap-exhaustion and telemetry-staleness context
+    /// a kill decision must respect.
     pub fn oomd_signal(&self, id: ContainerId) -> OomdSignal {
         let c = &self.containers[id.0];
         OomdSignal {
             full_avg10: c.psi.full_avg10(Resource::Memory),
             swap_full: c.swap_full_seen,
             stale: self.signal_fate(id) != SignalFate::Fresh,
-            protected: c.protected,
         }
     }
 
@@ -1176,43 +1119,6 @@ impl Machine {
             outcome.reclaimed().as_u64() as f64,
         );
         outcome
-    }
-
-    /// Derives the container's workingset profile from its recorded
-    /// resident-size series, skipping the first `warmup_fraction` of the
-    /// run (the controller is still discovering cold memory there).
-    /// Returns `None` before any samples exist.
-    pub fn workingset_profile(
-        &self,
-        id: ContainerId,
-        warmup_fraction: f64,
-    ) -> Option<WorkingsetProfile> {
-        let name = self.containers[id.0].name.as_str();
-        let series = self.recorder.series(&format!("{name}.resident_mib"))?;
-        if series.is_empty() {
-            return None;
-        }
-        let horizon = self.now().as_secs_f64();
-        let from = horizon * warmup_fraction.clamp(0.0, 1.0);
-        let steady: Vec<f64> = series
-            .samples()
-            .iter()
-            .filter(|s| s.time_secs >= from)
-            .map(|s| s.value)
-            .collect();
-        if steady.is_empty() {
-            return None;
-        }
-        let mut sorted = steady.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let q = |p: f64| sorted[((sorted.len() - 1) as f64 * p).round() as usize];
-        Some(WorkingsetProfile {
-            samples: steady.len(),
-            min_mib: sorted[0],
-            p50_mib: q(0.5),
-            p95_mib: q(0.95),
-            final_mib: *steady.last().expect("non-empty"),
-        })
     }
 
     /// Kills a container (the §3.2.4 oomd action): frees every page it
@@ -1467,7 +1373,6 @@ mod tests {
         let sig = m.senpai_signal(id);
         assert!(sig.current_mem > ByteSize::ZERO);
         assert!(sig.relaxed);
-        assert!(!sig.protected);
         assert_eq!(sig.mem_some_avg10, 0.0);
     }
 
@@ -1541,32 +1446,6 @@ mod tests {
         m.run(SimDuration::from_secs(1));
         let junk_left = m.container(id).churn_pages.len() as u64;
         assert!(junk_left < 1000, "junk pages left: {junk_left}");
-    }
-
-    #[test]
-    fn workingset_profile_reflects_controller_discovery() {
-        let mut m = Machine::new(MachineConfig {
-            dram: ByteSize::from_mib(256),
-            swap: SwapKind::Zswap {
-                capacity_fraction: 0.3,
-                allocator: ZswapAllocator::Zsmalloc,
-            },
-            ..MachineConfig::default()
-        });
-        let id = m.add_container(&small_profile());
-        assert!(m.workingset_profile(id, 0.5).is_none(), "no samples yet");
-        let mut rt = crate::TmoRuntime::with_senpai(m, tmo_senpai::SenpaiConfig::accelerated(40.0));
-        rt.run(SimDuration::from_mins(3));
-        let m = rt.machine();
-        let profile = m.workingset_profile(id, 0.5).expect("recorded");
-        assert!(profile.samples > 100);
-        // The discovered workingset sits below the 64 MiB footprint.
-        assert!(profile.min_mib < 64.0);
-        assert!(profile.p50_mib <= profile.p95_mib);
-        assert!(profile.p95_mib <= 64.0 + 1e-9);
-        // The recommendation adds headroom on top of p95.
-        let rec = profile.recommended_mib(0.1);
-        assert!((rec - profile.p95_mib * 1.1).abs() < 1e-9);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   evicted state machine.
 //! * [`lru`] — second-chance active/inactive LRU lists with lazy
 //!   compaction, mirroring `mark_page_accessed` semantics.
-//! * [`cgroup`] — the container hierarchy with per-cgroup accounting,
-//!   `memory.max` limits, and subtree usage rollups.
+//! * [`cgroup`] — flat per-container cgroups with their own accounting
+//!   and `memory.max` limits.
 //! * [`workingset`] — eviction counters, shadow entries, reuse-distance
 //!   refault classification, and decaying rate counters.
 //! * [`reclaim`] — the legacy file-skewed policy and TMO's
@@ -30,7 +30,7 @@
 //! use tmo_sim::{ByteSize, SimTime};
 //!
 //! let mut mm = MemoryManager::new(MmConfig::default());
-//! let cg = mm.create_cgroup("web", None);
+//! let cg = mm.create_cgroup("web");
 //! let alloc = mm
 //!     .alloc_pages(cg, PageKind::Anon, 64, SimTime::ZERO)
 //!     .expect("fits in DRAM");
@@ -47,7 +47,7 @@ pub mod render;
 pub mod stats;
 pub mod workingset;
 
-pub use cgroup::{CgroupId, ReclaimPriority};
+pub use cgroup::CgroupId;
 pub use manager::{MemoryManager, MmConfig, ProvenanceCharge};
 pub use page::{LruTier, PageId, PageKind};
 pub use reclaim::ReclaimPolicy;

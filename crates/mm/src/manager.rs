@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use tmo_backends::{BackendKind, BackendStats, DeviceFault, IoKind, OffloadBackend, SsdDevice};
 use tmo_sim::{ByteSize, DetRng, PageCount, SimDuration, SimTime};
 
-use crate::cgroup::{Cgroup, CgroupId, ReclaimPriority};
+use crate::cgroup::{Cgroup, CgroupId};
 use crate::page::{
     LruTier, Page, PageId, PageKind, PageMeta, PageState, FLAG_INACTIVE, FLAG_REFERENCED,
 };
@@ -40,7 +40,7 @@ pub struct MmConfig {
     pub page_size: ByteSize,
     /// Total DRAM.
     pub total_dram: ByteSize,
-    /// Swap backend (SSD swap partition, zswap pool, or NVM).
+    /// Swap backend (SSD swap partition, zswap pool, or tiered).
     pub swap: Option<Box<dyn OffloadBackend>>,
     /// Filesystem device for file-cache reads.
     pub fs_device: SsdDevice,
@@ -68,8 +68,8 @@ impl Default for MmConfig {
 pub enum AllocError {
     /// Machine DRAM exhausted and reclaim could not free enough.
     OutOfMemory,
-    /// A `memory.max` limit on the cgroup (or an ancestor) could not be
-    /// satisfied even after reclaiming from the subtree.
+    /// The cgroup's `memory.max` limit could not be satisfied even after
+    /// reclaiming from it.
     CgroupLimit(CgroupId),
 }
 
@@ -298,13 +298,10 @@ impl MemoryManager {
     // Cgroups
     // ------------------------------------------------------------------
 
-    /// Creates a cgroup under `parent` (or as a root).
-    pub fn create_cgroup(&mut self, name: &str, parent: Option<CgroupId>) -> CgroupId {
+    /// Creates a cgroup.
+    pub fn create_cgroup(&mut self, name: &str) -> CgroupId {
         let id = CgroupId(self.cgroups.len());
-        self.cgroups.push(Cgroup::new(name, parent));
-        if let Some(p) = parent {
-            self.cgroups[p.0].children.push(id);
-        }
+        self.cgroups.push(Cgroup::new(name));
         id
     }
 
@@ -322,23 +319,9 @@ impl MemoryManager {
         (0..self.cgroups.len()).map(CgroupId)
     }
 
-    /// Sets the `memory.max` subtree limit.
+    /// Sets the `memory.max` limit.
     pub fn set_memory_max(&mut self, cg: CgroupId, max: Option<ByteSize>) {
         self.cgroups[cg.0].memory_max = max;
-    }
-
-    /// Sets `memory.low`: best-effort protection. While the subtree's
-    /// usage is at or below this value, global reclaim and subtree
-    /// distribution skip it (unless nothing unprotected remains).
-    pub fn set_memory_low(&mut self, cg: CgroupId, low: ByteSize) {
-        self.cgroups[cg.0].memory_low = low;
-    }
-
-    /// Whether the cgroup is currently under its `memory.low`
-    /// protection.
-    pub fn is_low_protected(&self, cg: CgroupId) -> bool {
-        let c = &self.cgroups[cg.0];
-        !c.memory_low.is_zero() && c.subtree_resident.to_bytes(self.page_size) <= c.memory_low
     }
 
     /// Sets the mean compression ratio of the cgroup's anonymous memory.
@@ -351,14 +334,9 @@ impl MemoryManager {
         self.cgroups[cg.0].compress_ratio = ratio;
     }
 
-    /// Sets the container's reclaim priority.
-    pub fn set_priority(&mut self, cg: CgroupId, priority: ReclaimPriority) {
-        self.cgroups[cg.0].priority = priority;
-    }
-
-    /// `memory.current`: bytes resident in the cgroup's subtree.
+    /// `memory.current`: bytes resident in the cgroup.
     pub fn memory_current(&self, cg: CgroupId) -> ByteSize {
-        self.cgroups[cg.0].subtree_resident.to_bytes(self.page_size)
+        self.cgroups[cg.0].resident_pages().to_bytes(self.page_size)
     }
 
     /// A `memory.stat`-style snapshot.
@@ -369,7 +347,6 @@ impl MemoryManager {
             file_resident: c.file_resident,
             anon_offloaded: c.anon_offloaded,
             file_evicted: c.file_evicted,
-            subtree_resident: c.subtree_resident,
             refaults_total: c.refault_rate.total(),
             swapins_total: c.swapin_rate.total(),
             swapouts_total: c.swapout_rate.total(),
@@ -483,7 +460,7 @@ impl MemoryManager {
         let mut stall = SimDuration::ZERO;
         for _ in 0..count {
             let step = self
-                .enforce_limits(cg, 1)
+                .enforce_limit(cg, 1)
                 .and_then(|s1| self.ensure_free(1).map(|s2| s1 + s2));
             match step {
                 Ok(s) => stall += s,
@@ -571,11 +548,6 @@ impl MemoryManager {
             PageKind::File => self.cgroups[cg.0].file_resident += delta,
         }
         self.resident_global += n;
-        let mut cursor = Some(cg);
-        while let Some(c) = cursor {
-            self.cgroups[c.0].subtree_resident += delta;
-            cursor = self.cgroups[c.0].parent;
-        }
     }
 
     fn note_unresident(&mut self, cg: CgroupId, kind: PageKind, n: u64) {
@@ -585,39 +557,29 @@ impl MemoryManager {
             PageKind::File => self.cgroups[cg.0].file_resident -= delta,
         }
         self.resident_global -= n;
-        let mut cursor = Some(cg);
-        while let Some(c) = cursor {
-            self.cgroups[c.0].subtree_resident -= delta;
-            cursor = self.cgroups[c.0].parent;
-        }
     }
 
-    /// Walks ancestors enforcing `memory.max` before `incoming` pages
-    /// are charged; reclaims from over-limit subtrees synchronously
-    /// (this statefulness is exactly what the stateless
-    /// `memory.reclaim` knob was added to avoid — see the
-    /// `ablation_reclaim_knob` bench).
-    fn enforce_limits(&mut self, cg: CgroupId, incoming: u64) -> Result<SimDuration, AllocError> {
-        let mut stall = SimDuration::ZERO;
-        let mut cursor = Some(cg);
-        while let Some(c) = cursor {
-            if let Some(max) = self.cgroups[c.0].memory_max {
-                let limit_pages = max.as_u64() / self.page_size.as_u64();
-                let used = self.cgroups[c.0].subtree_resident.as_u64();
-                if used + incoming > limit_pages {
-                    let excess = used + incoming - limit_pages;
-                    let outcome = self.reclaim_subtree(c, excess.max(DIRECT_RECLAIM_BATCH));
-                    stall += SCAN_COST * outcome.scanned.as_u64();
-                    let used = self.cgroups[c.0].subtree_resident.as_u64();
-                    if used + incoming > limit_pages {
-                        self.alloc_failures += 1;
-                        return Err(AllocError::CgroupLimit(c));
-                    }
-                }
-            }
-            cursor = self.cgroups[c.0].parent;
+    /// Enforces the cgroup's `memory.max` before `incoming` pages are
+    /// charged, reclaiming synchronously when over the limit (this
+    /// statefulness is exactly what the stateless `memory.reclaim` knob
+    /// was added to avoid — see the `ablation_reclaim_knob` bench).
+    fn enforce_limit(&mut self, cg: CgroupId, incoming: u64) -> Result<SimDuration, AllocError> {
+        let Some(max) = self.cgroups[cg.0].memory_max else {
+            return Ok(SimDuration::ZERO);
+        };
+        let limit_pages = max.as_u64() / self.page_size.as_u64();
+        let used = self.cgroups[cg.0].resident_pages().as_u64();
+        if used + incoming <= limit_pages {
+            return Ok(SimDuration::ZERO);
         }
-        Ok(stall)
+        let excess = used + incoming - limit_pages;
+        let outcome = self.reclaim_pages(cg, excess.max(DIRECT_RECLAIM_BATCH));
+        let used = self.cgroups[cg.0].resident_pages().as_u64();
+        if used + incoming > limit_pages {
+            self.alloc_failures += 1;
+            return Err(AllocError::CgroupLimit(cg));
+        }
+        Ok(SCAN_COST * outcome.scanned.as_u64())
     }
 
     /// Makes sure at least `n` DRAM pages are free, running direct
@@ -661,20 +623,12 @@ impl MemoryManager {
     }
 
     fn largest_cgroup(&self) -> Option<CgroupId> {
-        // memory.low: prefer unprotected victims; fall back to protected
-        // ones only when nothing else has reclaimable pages.
-        let candidates = |protected: bool| {
-            self.cgroups
-                .iter()
-                .enumerate()
-                .filter(move |(i, c)| {
-                    !c.resident_pages().is_zero()
-                        && self.is_low_protected(CgroupId(*i)) == protected
-                })
-                .max_by_key(|(_, c)| c.resident_pages())
-                .map(|(i, _)| CgroupId(i))
-        };
-        candidates(false).or_else(|| candidates(true))
+        self.cgroups
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| !c.resident_pages().is_zero())
+            .max_by_key(|(_, c)| c.resident_pages())
+            .map(|(i, _)| CgroupId(i))
     }
 
     // ------------------------------------------------------------------
@@ -855,54 +809,19 @@ impl MemoryManager {
     // ------------------------------------------------------------------
 
     /// The stateless `memory.reclaim` knob (§3.3): reclaims up to
-    /// `bytes` from the cgroup's subtree without installing any limit.
+    /// `bytes` from the cgroup without installing any limit.
     pub fn reclaim(&mut self, cg: CgroupId, bytes: ByteSize) -> ReclaimOutcome {
         let target = bytes.div_ceil_pages(self.page_size).as_u64();
-        self.reclaim_subtree(cg, target)
+        self.reclaim_pages(cg, target)
     }
 
-    fn reclaim_subtree(&mut self, cg: CgroupId, target_pages: u64) -> ReclaimOutcome {
-        let mut outcome = ReclaimOutcome::default();
-        let mut remaining = target_pages;
-        // Reclaim from descendants proportionally, largest first.
-        let mut members = self.subtree_members(cg);
-        // Descendants under their memory.low protection are skipped;
-        // the target itself is always eligible (an explicit
-        // memory.reclaim write overrides its own protection).
-        members.retain(|&m| m == cg || !self.is_low_protected(m));
-        members.sort_by_key(|&c| std::cmp::Reverse(self.cgroups[c.0].resident_pages()));
-        let total_resident: u64 = members
-            .iter()
-            .map(|&c| self.cgroups[c.0].resident_pages().as_u64())
-            .sum();
-        if total_resident == 0 {
-            return outcome;
+    /// Reclaims up to `target` pages from `cg`; a no-op when the target
+    /// is zero or the cgroup holds nothing resident.
+    fn reclaim_pages(&mut self, cg: CgroupId, target: u64) -> ReclaimOutcome {
+        if target == 0 || self.cgroups[cg.0].resident_pages().is_zero() {
+            return ReclaimOutcome::default();
         }
-        for &member in &members {
-            if remaining == 0 {
-                break;
-            }
-            let share =
-                self.cgroups[member.0].resident_pages().as_u64() as f64 / total_resident as f64;
-            let want = ((target_pages as f64 * share).ceil() as u64).min(remaining);
-            if want == 0 {
-                continue;
-            }
-            let got = self.reclaim_one_cgroup(member, want);
-            remaining = remaining.saturating_sub(got.reclaimed().as_u64());
-            outcome.merge(got);
-        }
-        outcome
-    }
-
-    fn subtree_members(&self, cg: CgroupId) -> Vec<CgroupId> {
-        let mut out = Vec::new();
-        let mut stack = vec![cg];
-        while let Some(c) = stack.pop() {
-            out.push(c);
-            stack.extend_from_slice(&self.cgroups[c.0].children);
-        }
-        out
+        self.reclaim_one_cgroup(cg, target)
     }
 
     /// Reclaims up to `target` pages from a single cgroup's own LRUs,
@@ -1170,7 +1089,7 @@ mod tests {
     #[test]
     fn alloc_and_account() {
         let mut mm = MemoryManager::new(small_config(None));
-        let cg = mm.create_cgroup("a", None);
+        let cg = mm.create_cgroup("a");
         let out = mm
             .alloc_pages(cg, PageKind::Anon, 10, SimTime::ZERO)
             .expect("fits");
@@ -1182,21 +1101,9 @@ mod tests {
     }
 
     #[test]
-    fn subtree_accounting_rolls_up() {
-        let mut mm = MemoryManager::new(small_config(None));
-        let root = mm.create_cgroup("root", None);
-        let child = mm.create_cgroup("child", Some(root));
-        mm.alloc_pages(child, PageKind::File, 8, SimTime::ZERO)
-            .expect("fits");
-        assert_eq!(mm.cgroup_stat(root).subtree_resident, PageCount::new(8));
-        assert_eq!(mm.cgroup_stat(root).file_resident, PageCount::ZERO);
-        assert_eq!(mm.cgroup_stat(child).subtree_resident, PageCount::new(8));
-    }
-
-    #[test]
     fn file_reclaim_and_refault_round_trip() {
         let mut mm = MemoryManager::new(small_config(None));
-        let cg = mm.create_cgroup("a", None);
+        let cg = mm.create_cgroup("a");
         let out = mm
             .alloc_pages(cg, PageKind::File, 20, SimTime::ZERO)
             .expect("fits");
@@ -1229,7 +1136,7 @@ mod tests {
     #[test]
     fn anon_reclaim_requires_swap() {
         let mut mm = MemoryManager::new(small_config(None));
-        let cg = mm.create_cgroup("a", None);
+        let cg = mm.create_cgroup("a");
         mm.alloc_pages(cg, PageKind::Anon, 20, SimTime::ZERO)
             .expect("fits");
         let out = mm.reclaim(cg, ByteSize::from_kib(4 * 5));
@@ -1241,7 +1148,7 @@ mod tests {
     #[test]
     fn anon_swap_out_and_swap_in() {
         let mut mm = MemoryManager::new(small_config(ssd_swap()));
-        let cg = mm.create_cgroup("a", None);
+        let cg = mm.create_cgroup("a");
         let alloc = mm
             .alloc_pages(cg, PageKind::Anon, 20, SimTime::ZERO)
             .expect("fits");
@@ -1271,7 +1178,7 @@ mod tests {
     #[test]
     fn zswap_fault_is_not_block_io() {
         let mut mm = MemoryManager::new(small_config(zswap()));
-        let cg = mm.create_cgroup("a", None);
+        let cg = mm.create_cgroup("a");
         let alloc = mm
             .alloc_pages(cg, PageKind::Anon, 20, SimTime::ZERO)
             .expect("fits");
@@ -1297,7 +1204,7 @@ mod tests {
     #[test]
     fn dead_backend_load_degrades_to_zero_fill_and_counts_lost_loads() {
         let mut mm = MemoryManager::new(small_config(ssd_swap()));
-        let cg = mm.create_cgroup("a", None);
+        let cg = mm.create_cgroup("a");
         let alloc = mm
             .alloc_pages(cg, PageKind::Anon, 20, SimTime::ZERO)
             .expect("fits");
@@ -1336,7 +1243,7 @@ mod tests {
     #[test]
     fn zswap_pool_consumes_dram() {
         let mut mm = MemoryManager::new(small_config(zswap()));
-        let cg = mm.create_cgroup("a", None);
+        let cg = mm.create_cgroup("a");
         mm.set_compress_ratio(cg, 2.0);
         mm.alloc_pages(cg, PageKind::Anon, 40, SimTime::ZERO)
             .expect("fits");
@@ -1351,7 +1258,7 @@ mod tests {
     #[test]
     fn referenced_pages_survive_one_reclaim_pass() {
         let mut mm = MemoryManager::new(small_config(None));
-        let cg = mm.create_cgroup("a", None);
+        let cg = mm.create_cgroup("a");
         let alloc = mm
             .alloc_pages(cg, PageKind::File, 20, SimTime::ZERO)
             .expect("fits");
@@ -1373,8 +1280,8 @@ mod tests {
     #[test]
     fn direct_reclaim_kicks_in_when_dram_full() {
         let mut mm = MemoryManager::new(small_config(ssd_swap()));
-        let a = mm.create_cgroup("a", None);
-        let b = mm.create_cgroup("b", None);
+        let a = mm.create_cgroup("a");
+        let b = mm.create_cgroup("b");
         mm.alloc_pages(a, PageKind::File, 120, SimTime::ZERO)
             .expect("fits");
         // DRAM has 8 pages left; this allocation forces direct reclaim.
@@ -1389,7 +1296,7 @@ mod tests {
     #[test]
     fn memory_max_blocks_over_limit_growth() {
         let mut mm = MemoryManager::new(small_config(None));
-        let cg = mm.create_cgroup("a", None);
+        let cg = mm.create_cgroup("a");
         mm.set_memory_max(cg, Some(ByteSize::from_kib(4 * 10)));
         // Anon pages without swap cannot be reclaimed, so growth beyond
         // the limit must fail.
@@ -1403,7 +1310,7 @@ mod tests {
     #[test]
     fn memory_max_reclaims_file_to_stay_under() {
         let mut mm = MemoryManager::new(small_config(None));
-        let cg = mm.create_cgroup("a", None);
+        let cg = mm.create_cgroup("a");
         mm.set_memory_max(cg, Some(ByteSize::from_kib(4 * 10)));
         let out = mm
             .alloc_pages(cg, PageKind::File, 30, SimTime::ZERO)
@@ -1416,7 +1323,7 @@ mod tests {
     #[test]
     fn oom_when_nothing_reclaimable() {
         let mut mm = MemoryManager::new(small_config(None));
-        let cg = mm.create_cgroup("a", None);
+        let cg = mm.create_cgroup("a");
         // Fill DRAM with unreclaimable anon (no swap).
         mm.alloc_pages(cg, PageKind::Anon, 128, SimTime::ZERO)
             .expect("exactly fits");
@@ -1430,7 +1337,7 @@ mod tests {
     #[test]
     fn free_pages_of_releases_everything() {
         let mut mm = MemoryManager::new(small_config(ssd_swap()));
-        let cg = mm.create_cgroup("a", None);
+        let cg = mm.create_cgroup("a");
         let alloc = mm
             .alloc_pages(cg, PageKind::Anon, 20, SimTime::ZERO)
             .expect("fits");
@@ -1449,7 +1356,7 @@ mod tests {
     #[test]
     fn coldness_buckets_by_recency() {
         let mut mm = MemoryManager::new(small_config(None));
-        let cg = mm.create_cgroup("a", None);
+        let cg = mm.create_cgroup("a");
         let alloc = mm
             .alloc_pages(cg, PageKind::Anon, 10, SimTime::ZERO)
             .expect("fits");
@@ -1475,7 +1382,7 @@ mod tests {
             policy: ReclaimPolicy::LegacyFileFirst,
             ..small_config(ssd_swap())
         });
-        let cg = mm.create_cgroup("a", None);
+        let cg = mm.create_cgroup("a");
         mm.alloc_pages(cg, PageKind::File, 40, SimTime::ZERO)
             .expect("fits");
         mm.alloc_pages(cg, PageKind::Anon, 40, SimTime::ZERO)
@@ -1486,72 +1393,10 @@ mod tests {
     }
 
     #[test]
-    fn memory_low_protects_from_global_reclaim() {
-        let mut mm = MemoryManager::new(small_config(None));
-        let protected = mm.create_cgroup("protected", None);
-        let victim = mm.create_cgroup("victim", None);
-        mm.alloc_pages(protected, PageKind::File, 50, SimTime::ZERO)
-            .expect("fits");
-        mm.alloc_pages(victim, PageKind::File, 50, SimTime::ZERO)
-            .expect("fits");
-        mm.set_memory_low(protected, ByteSize::from_kib(4 * 60));
-        assert!(mm.is_low_protected(protected));
-        // Fill DRAM: direct reclaim must take from the victim only.
-        mm.alloc_pages(victim, PageKind::Anon, 40, SimTime::ZERO)
-            .expect("reclaim makes room");
-        assert_eq!(
-            mm.cgroup_stat(protected).file_resident,
-            PageCount::new(50),
-            "protected cgroup was reclaimed"
-        );
-        assert!(mm.cgroup_stat(victim).file_resident < PageCount::new(50));
-    }
-
-    #[test]
-    fn memory_low_falls_back_when_nothing_else_reclaimable() {
-        let mut mm = MemoryManager::new(small_config(None));
-        let only = mm.create_cgroup("only", None);
-        mm.alloc_pages(only, PageKind::File, 100, SimTime::ZERO)
-            .expect("fits");
-        mm.set_memory_low(only, ByteSize::from_mib(1)); // fully protected
-                                                        // DRAM exhaustion with no unprotected victim: protection yields.
-        let out = mm.alloc_pages(only, PageKind::Anon, 40, SimTime::ZERO);
-        assert!(out.is_ok(), "protection must be best-effort: {out:?}");
-    }
-
-    #[test]
-    fn explicit_reclaim_overrides_own_protection() {
-        let mut mm = MemoryManager::new(small_config(None));
-        let cg = mm.create_cgroup("a", None);
-        mm.alloc_pages(cg, PageKind::File, 50, SimTime::ZERO)
-            .expect("fits");
-        mm.set_memory_low(cg, ByteSize::from_mib(10));
-        // A direct memory.reclaim write on the cgroup itself still works.
-        let out = mm.reclaim(cg, ByteSize::from_kib(4 * 10));
-        assert_eq!(out.reclaimed_file, PageCount::new(10));
-    }
-
-    #[test]
-    fn subtree_reclaim_skips_protected_children() {
-        let mut mm = MemoryManager::new(small_config(None));
-        let root = mm.create_cgroup("root", None);
-        let shielded = mm.create_cgroup("shielded", Some(root));
-        let open = mm.create_cgroup("open", Some(root));
-        mm.alloc_pages(shielded, PageKind::File, 40, SimTime::ZERO)
-            .expect("fits");
-        mm.alloc_pages(open, PageKind::File, 40, SimTime::ZERO)
-            .expect("fits");
-        mm.set_memory_low(shielded, ByteSize::from_kib(4 * 50));
-        mm.reclaim(root, ByteSize::from_kib(4 * 30));
-        assert_eq!(mm.cgroup_stat(shielded).file_resident, PageCount::new(40));
-        assert!(mm.cgroup_stat(open).file_resident <= PageCount::new(10));
-    }
-
-    #[test]
     #[should_panic(expected = "access to freed")]
     fn access_freed_page_panics() {
         let mut mm = MemoryManager::new(small_config(None));
-        let cg = mm.create_cgroup("a", None);
+        let cg = mm.create_cgroup("a");
         let alloc = mm
             .alloc_pages(cg, PageKind::Anon, 1, SimTime::ZERO)
             .expect("fits");
@@ -1562,7 +1407,7 @@ mod tests {
     #[test]
     fn tick_decays_rates() {
         let mut mm = MemoryManager::new(small_config(ssd_swap()));
-        let cg = mm.create_cgroup("a", None);
+        let cg = mm.create_cgroup("a");
         mm.alloc_pages(cg, PageKind::Anon, 20, SimTime::ZERO)
             .expect("fits");
         mm.reclaim(cg, ByteSize::from_kib(4 * 10));
@@ -1601,8 +1446,8 @@ mod tests {
     #[test]
     fn provenance_charges_fault_stall_to_the_triggering_cgroup() {
         let mut mm = MemoryManager::new(small_config(None));
-        let victim = mm.create_cgroup("victim", None);
-        let offender = mm.create_cgroup("offender", None);
+        let victim = mm.create_cgroup("victim");
+        let offender = mm.create_cgroup("offender");
         mm.enable_provenance();
         let evicted = evict_victim_via(&mut mm, victim, offender, Some(offender));
         assert!(!evicted.is_empty(), "direct reclaim must evict the victim");
@@ -1626,8 +1471,8 @@ mod tests {
     #[test]
     fn provenance_without_trigger_blames_the_page_owner() {
         let mut mm = MemoryManager::new(small_config(None));
-        let victim = mm.create_cgroup("victim", None);
-        let offender = mm.create_cgroup("offender", None);
+        let victim = mm.create_cgroup("victim");
+        let offender = mm.create_cgroup("offender");
         mm.enable_provenance();
         let evicted = evict_victim_via(&mut mm, victim, offender, None);
         mm.access(evicted[0], SimTime::from_secs(1));
@@ -1650,8 +1495,8 @@ mod tests {
     #[test]
     fn provenance_disabled_records_nothing() {
         let mut mm = MemoryManager::new(small_config(None));
-        let victim = mm.create_cgroup("victim", None);
-        let offender = mm.create_cgroup("offender", None);
+        let victim = mm.create_cgroup("victim");
+        let offender = mm.create_cgroup("offender");
         let evicted = evict_victim_via(&mut mm, victim, offender, Some(offender));
         mm.access(evicted[0], SimTime::from_secs(1));
         let mut charges = vec![ProvenanceCharge {
@@ -1666,8 +1511,8 @@ mod tests {
     #[test]
     fn provenance_does_not_survive_slot_reuse() {
         let mut mm = MemoryManager::new(small_config(None));
-        let victim = mm.create_cgroup("victim", None);
-        let offender = mm.create_cgroup("offender", None);
+        let victim = mm.create_cgroup("victim");
+        let offender = mm.create_cgroup("offender");
         mm.enable_provenance();
         let evicted = evict_victim_via(&mut mm, victim, offender, Some(offender));
         // Free the evicted pages without faulting them back: their
@@ -1710,8 +1555,8 @@ mod tests {
     #[test]
     fn provenance_self_charges_direct_reclaim_alloc_stall() {
         let mut mm = MemoryManager::new(small_config(None));
-        let victim = mm.create_cgroup("victim", None);
-        let offender = mm.create_cgroup("offender", None);
+        let victim = mm.create_cgroup("victim");
+        let offender = mm.create_cgroup("offender");
         mm.enable_provenance();
         evict_victim_via(&mut mm, victim, offender, Some(offender));
         let mut charges = Vec::new();

@@ -20,7 +20,7 @@ use crate::stats::CgroupStat;
 /// use tmo_sim::SimTime;
 ///
 /// let mut mm = MemoryManager::new(MmConfig::default());
-/// let cg = mm.create_cgroup("web", None);
+/// let cg = mm.create_cgroup("web");
 /// mm.alloc_pages(cg, PageKind::Anon, 4, SimTime::ZERO).expect("fits");
 /// let text = render_memory_stat(&mm.cgroup_stat(cg), mm.page_size());
 /// assert!(text.starts_with("anon 65536\n"));
@@ -40,10 +40,15 @@ pub fn render_memory_stat(stat: &CgroupStat, page_size: ByteSize) -> String {
     )
 }
 
-/// Parses one `key value` line of a `memory.stat`-style file.
+/// Parses one `key value` line of a `memory.stat`-style file, exactly
+/// as [`render_memory_stat`] writes it: a non-empty key, one space, and
+/// a decimal value of ASCII digits only. Anything else is rejected.
 pub fn parse_stat_line(line: &str) -> Option<(&str, u64)> {
     let (key, value) = line.split_once(' ')?;
-    Some((key, value.trim().parse().ok()?))
+    if key.is_empty() || value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    Some((key, value.parse().ok()?))
 }
 
 #[cfg(test)]
@@ -59,7 +64,7 @@ mod tests {
             total_dram: ByteSize::from_mib(1),
             ..MmConfig::default()
         });
-        let cg = mm.create_cgroup("t", None);
+        let cg = mm.create_cgroup("t");
         mm.alloc_pages(cg, PageKind::Anon, 3, SimTime::ZERO)
             .expect("fits");
         mm.alloc_pages(cg, PageKind::File, 5, SimTime::ZERO)
@@ -97,5 +102,16 @@ mod tests {
         }
         assert!(parse_stat_line("garbage").is_none());
         assert!(parse_stat_line("key notanumber").is_none());
+        assert!(parse_stat_line(" 5").is_none(), "empty key");
+        assert!(parse_stat_line("anon +5").is_none(), "sign");
+        assert!(parse_stat_line("anon  5").is_none(), "two spaces");
+        assert!(parse_stat_line("anon 5 ").is_none(), "trailing space");
+        assert!(parse_stat_line("anon  5 ").is_none());
+        assert!(parse_stat_line("anon ").is_none(), "empty value");
+        assert!(
+            parse_stat_line("anon 18446744073709551616").is_none(),
+            "overflow"
+        );
+        assert_eq!(parse_stat_line("anon 5"), Some(("anon", 5)));
     }
 }

@@ -82,11 +82,6 @@ impl AccessOutcome {
             }
         }
     }
-
-    /// Whether this was a fault.
-    pub fn is_fault(&self) -> bool {
-        matches!(self, AccessOutcome::Fault { .. })
-    }
 }
 
 /// Aggregated counters for one batch of page accesses, folded inline by
@@ -171,8 +166,6 @@ pub struct CgroupStat {
     pub anon_offloaded: PageCount,
     /// File pages evicted with live shadow entries.
     pub file_evicted: PageCount,
-    /// Resident pages in the whole subtree.
-    pub subtree_resident: PageCount,
     /// Cumulative workingset refaults.
     pub refaults_total: u64,
     /// Cumulative swap-ins.
@@ -233,7 +226,6 @@ mod tests {
         assert_eq!(o.stall(), SimDuration::ZERO);
         assert_eq!(o.memory_stall(), SimDuration::ZERO);
         assert_eq!(o.io_stall(), SimDuration::ZERO);
-        assert!(!o.is_fault());
     }
 
     #[test]

@@ -145,7 +145,7 @@ proptest! {
         ops in prop::collection::vec(arb_op(), 1..200),
     ) {
         let mut mm = build_mm();
-        mm.create_cgroup("fuzz", None);
+        mm.create_cgroup("fuzz");
         let mut live = Vec::new();
         let mut now = SimTime::ZERO;
         for op in &ops {
@@ -161,7 +161,7 @@ proptest! {
     #[test]
     fn no_counter_underflow(ops in prop::collection::vec(arb_op(), 1..200)) {
         let mut mm = build_mm();
-        mm.create_cgroup("fuzz", None);
+        mm.create_cgroup("fuzz");
         let mut live = Vec::new();
         let mut now = SimTime::ZERO;
         for op in &ops {
@@ -184,7 +184,7 @@ proptest! {
     #[test]
     fn compaction_preserves_live_set(ops in prop::collection::vec(arb_op(), 1..200)) {
         let mut mm = build_mm();
-        mm.create_cgroup("fuzz", None);
+        mm.create_cgroup("fuzz");
         let mut live = Vec::new();
         let mut now = SimTime::ZERO;
         for op in &ops {
@@ -221,8 +221,8 @@ proptest! {
     ) {
         let mut mm_single = build_mm();
         let mut mm_batch = build_mm();
-        let cg_s = mm_single.create_cgroup("w", None);
-        let cg_b = mm_batch.create_cgroup("w", None);
+        let cg_s = mm_single.create_cgroup("w");
+        let cg_b = mm_batch.create_cgroup("w");
         let mut pages_s = Vec::new();
         let mut pages_b = Vec::new();
         for (mm, cg, pages) in [

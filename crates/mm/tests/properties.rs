@@ -50,7 +50,7 @@ fn build_mm(policy: ReclaimPolicy, with_swap: bool) -> MemoryManager {
 }
 
 fn run_ops(mm: &mut MemoryManager, ops: &[Op]) -> (Vec<PageId>, u64, u64) {
-    let cg = mm.create_cgroup("fuzz", None);
+    let cg = mm.create_cgroup("fuzz");
     let mut live: Vec<PageId> = Vec::new();
     let mut now = SimTime::ZERO;
     let (mut allocated, mut freed) = (0u64, 0u64);
@@ -159,7 +159,7 @@ proptest! {
         reclaim_pages in 1u64..60,
     ) {
         let mut mm = build_mm(ReclaimPolicy::RefaultBalanced, true);
-        let cg = mm.create_cgroup("w", None);
+        let cg = mm.create_cgroup("w");
         let mut pages = Vec::new();
         pages.extend(
             mm.alloc_pages(cg, PageKind::Anon, n_anon, SimTime::ZERO)

@@ -6,11 +6,10 @@
 //! computes exact `some`/`full` stall time for each resource and folds
 //! the ratios into the standard running averages.
 
-use tmo_sim::{SimDuration, SimTime};
+use tmo_sim::SimDuration;
 
 use crate::avg::AvgSet;
 use crate::intervals::{IntervalSet, SweepScratch};
-use crate::triggers::Trigger;
 
 /// The resources PSI tracks, mirroring `/proc/pressure/{cpu,memory,io}`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -212,11 +211,6 @@ pub struct PsiGroup {
     nr_cpus: u32,
     resources: [ResourceState; 3],
     wall_total: SimDuration,
-    /// Registered pressure triggers and their watched resource.
-    triggers: Vec<(Resource, Trigger)>,
-    /// Trigger indexes that fired during the latest `observe`; reused
-    /// across windows so the trigger scan never allocates.
-    fired: Vec<usize>,
     /// Reusable edge-event buffer for the union/intersection sweep.
     sweep: SweepScratch,
 }
@@ -241,34 +235,8 @@ impl PsiGroup {
                 ResourceState::new(),
             ],
             wall_total: SimDuration::ZERO,
-            triggers: Vec::new(),
-            fired: Vec::new(),
             sweep: SweepScratch::new(),
         }
-    }
-
-    /// Registers a pressure [`Trigger`] on `resource` (the equivalent of
-    /// writing `"some <threshold_us> <window_us>"` to the resource's
-    /// pressure file). Returns the trigger's index for
-    /// [`PsiGroup::fired_triggers`] and [`PsiGroup::trigger`].
-    pub fn add_trigger(&mut self, resource: Resource, trigger: Trigger) -> usize {
-        self.triggers.push((resource, trigger));
-        self.triggers.len() - 1
-    }
-
-    /// A registered trigger by index.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an index not returned by [`PsiGroup::add_trigger`].
-    pub fn trigger(&self, index: usize) -> &Trigger {
-        &self.triggers[index].1
-    }
-
-    /// Indexes of the triggers that fired during the most recent
-    /// [`PsiGroup::observe`] call.
-    pub fn fired_triggers(&self) -> &[usize] {
-        &self.fired
     }
 
     /// Number of CPUs backing the domain.
@@ -296,12 +264,11 @@ impl PsiGroup {
     /// k-way intersection (`full`) measures off the coverage count.
     /// Both are integer-identical to the former merge-based
     /// `union_all`/`intersect_all` computation, so ratios, averages,
-    /// totals, and trigger decisions are bit-identical.
+    /// and totals are bit-identical.
     pub fn observe(&mut self, window: SimDuration, tasks: &[TaskObservation]) {
         if window.is_zero() {
             return;
         }
-        self.fired.clear();
         self.wall_total += window;
         let window_ns = window.as_nanos();
         let k = tasks.iter().filter(|t| t.is_non_idle()).count();
@@ -329,7 +296,6 @@ impl PsiGroup {
         if window.is_zero() {
             return;
         }
-        self.fired.clear();
         self.wall_total += window;
         let window_ns = window.as_nanos();
         let k = batch.non_idle;
@@ -346,7 +312,7 @@ impl PsiGroup {
     }
 
     /// Folds one resource's window measures into totals, averages, last
-    /// ratios, and registered triggers — shared by both observe forms.
+    /// and ratios — shared by both observe forms.
     fn apply_window(
         &mut self,
         resource: Resource,
@@ -365,22 +331,6 @@ impl PsiGroup {
         state.full_avg.update(full_ratio, window);
         state.last_some_ratio = some_ratio;
         state.last_full_ratio = full_ratio;
-
-        // Feed registered triggers with this window's stall deltas, in
-        // registration order within the resource (the firing order the
-        // controller stack observes).
-        let now = SimTime::ZERO + self.wall_total;
-        for (i, (res, trigger)) in self.triggers.iter_mut().enumerate() {
-            if *res == resource
-                && trigger.observe(
-                    now,
-                    SimDuration::from_nanos(some_ns),
-                    SimDuration::from_nanos(full_ns),
-                )
-            {
-                self.fired.push(i);
-            }
-        }
     }
 
     /// Reads the current pressure state for one resource.
@@ -580,65 +530,5 @@ mod tests {
     #[should_panic(expected = "at least one CPU")]
     fn zero_cpus_panics() {
         let _ = PsiGroup::new(0);
-    }
-
-    #[test]
-    fn registered_trigger_fires_on_pressure_spike() {
-        use crate::triggers::{Trigger, TriggerKind};
-        let mut psi = PsiGroup::new(2);
-        // 150 ms of `some` memory stall within 1 s.
-        let idx = psi.add_trigger(
-            Resource::Memory,
-            Trigger::new(
-                TriggerKind::Some,
-                SimDuration::from_millis(150),
-                SimDuration::from_secs(1),
-            ),
-        );
-        // Calm windows do not fire.
-        psi.observe(
-            SimDuration::from_millis(100),
-            &[TaskObservation::non_idle()],
-        );
-        assert!(psi.fired_triggers().is_empty());
-        // A burst of heavy stall does.
-        let mut fired = false;
-        for _ in 0..10 {
-            let mut t = TaskObservation::non_idle();
-            t.stall(
-                Resource::Memory,
-                IntervalSet::from_spans(&[(0, 50_000_000)]), // 50 ms
-            );
-            psi.observe(SimDuration::from_millis(100), &[t]);
-            if psi.fired_triggers().contains(&idx) {
-                fired = true;
-                break;
-            }
-        }
-        assert!(fired, "trigger never fired");
-        assert_eq!(psi.trigger(idx).fired(), 1);
-    }
-
-    #[test]
-    fn trigger_on_other_resource_stays_silent() {
-        use crate::triggers::{Trigger, TriggerKind};
-        let mut psi = PsiGroup::new(2);
-        let idx = psi.add_trigger(
-            Resource::Io,
-            Trigger::new(
-                TriggerKind::Some,
-                SimDuration::from_millis(10),
-                SimDuration::from_secs(1),
-            ),
-        );
-        for _ in 0..10 {
-            let mut t = TaskObservation::non_idle();
-            t.stall(
-                Resource::Memory,
-                IntervalSet::from_spans(&[(0, 90_000_000)]),
-            );
-            psi.observe(SimDuration::from_millis(100), &[t]);
-            assert!(!psi.fired_triggers().contains(&idx));
-        }
     }
 }

@@ -47,10 +47,8 @@ pub mod group;
 pub mod intervals;
 pub mod render;
 pub mod state;
-pub mod triggers;
 
 pub use avg::RunningAvg;
 pub use group::{PsiGroup, PsiSnapshot, Resource, SpanBatch, TaskObservation};
 pub use intervals::{Interval, IntervalSet, SweepScratch};
 pub use render::render_pressure_file;
-pub use triggers::{Trigger, TriggerKind};

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use tmo_psi::state::{StateTracker, TaskId};
-use tmo_psi::{IntervalSet, PsiGroup, Resource, SpanBatch, TaskObservation, Trigger, TriggerKind};
+use tmo_psi::{IntervalSet, PsiGroup, Resource, SpanBatch, TaskObservation};
 use tmo_sim::{SimDuration, SimTime};
 
 const WINDOW_NS: u64 = 1_000_000_000;
@@ -89,9 +89,9 @@ proptest! {
 // ---------------------------------------------------------------------
 // Batched vs scalar equivalence: `observe_batch` over a packed
 // `SpanBatch` must be bit-identical to `observe` over the equivalent
-// `TaskObservation`s — snapshots (including avg10/avg60/avg300 floats),
-// totals, and trigger firing order — across multi-window runs with
-// idle/non-idle mixes on every resource.
+// `TaskObservation`s — snapshots (including avg10/avg60/avg300 floats)
+// and totals — across multi-window runs with idle/non-idle mixes on
+// every resource.
 // ---------------------------------------------------------------------
 
 /// One random window: per task, an idle flag and stall spans on each of
@@ -113,30 +113,6 @@ fn arb_window() -> impl Strategy<Value = WindowSchedule> {
     )
 }
 
-/// Registers the same trigger spread on both groups: two per resource,
-/// so firing order across resources and registration indices is
-/// exercised.
-fn add_triggers(group: &mut PsiGroup) {
-    for resource in Resource::ALL {
-        group.add_trigger(
-            resource,
-            Trigger::new(
-                TriggerKind::Some,
-                SimDuration::from_millis(100),
-                SimDuration::from_secs(1),
-            ),
-        );
-        group.add_trigger(
-            resource,
-            Trigger::new(
-                TriggerKind::Full,
-                SimDuration::from_millis(20),
-                SimDuration::from_secs(1),
-            ),
-        );
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -147,8 +123,6 @@ proptest! {
         let window = SimDuration::from_nanos(WINDOW_NS);
         let mut scalar = PsiGroup::new(4);
         let mut batched = PsiGroup::new(4);
-        add_triggers(&mut scalar);
-        add_triggers(&mut batched);
 
         for tasks in &windows {
             // Scalar form: one TaskObservation per task.
@@ -185,7 +159,6 @@ proptest! {
             }
             batched.observe_batch(window, &batch);
 
-            prop_assert_eq!(scalar.fired_triggers(), batched.fired_triggers());
             for r in Resource::ALL {
                 // PartialEq over the f64 fields == bit-identical here
                 // (no NaNs can arise from ratios in [0, 1]).

@@ -21,8 +21,6 @@ pub struct ContainerSignal {
     pub swap_write_mbps: f64,
     /// Whether the last reclaim hit swap-space exhaustion.
     pub swap_full: bool,
-    /// Strict-SLA container: never reclaimed proactively.
-    pub protected: bool,
     /// Relaxed-SLA container (memory tax): tolerate higher pressure.
     pub relaxed: bool,
     /// The pressure sample is stale (telemetry stall); reclaiming on a
@@ -39,7 +37,6 @@ impl Default for ContainerSignal {
             io_some_avg10: 0.0,
             swap_write_mbps: 0.0,
             swap_full: false,
-            protected: false,
             relaxed: false,
             stale: false,
         }
@@ -57,8 +54,6 @@ pub enum Limiter {
     WriteRate,
     /// The per-period step cap bound.
     MaxStep,
-    /// The container is protected.
-    Protected,
     /// The pressure sample was stale or missing — conservative
     /// hold-off until fresh telemetry returns.
     StaleSignal,
@@ -134,9 +129,6 @@ impl Senpai {
 
     /// Applies the control law to one container.
     pub fn decide(&self, signal: &ContainerSignal) -> ReclaimDecision {
-        if signal.protected {
-            return ReclaimDecision::zero(Limiter::Protected);
-        }
         // A stale pressure reading could hide a spike that started
         // after the last fresh sample; shrinking on it risks real harm,
         // so hold off until telemetry recovers (chaos hardening).
@@ -201,11 +193,6 @@ impl Senpai {
             reclaim,
             limited_by: limited,
         }
-    }
-
-    /// Convenience: decides for many containers at once.
-    pub fn decide_all(&self, signals: &[ContainerSignal]) -> Vec<ReclaimDecision> {
-        signals.iter().map(|s| self.decide(s)).collect()
     }
 
     /// Applies the control law for a specific container, including its
@@ -320,16 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn protected_containers_are_never_touched() {
-        let d = senpai().decide(&ContainerSignal {
-            protected: true,
-            ..calm()
-        });
-        assert_eq!(d.reclaim, ByteSize::ZERO);
-        assert_eq!(d.limited_by, Some(Limiter::Protected));
-    }
-
-    #[test]
     fn relaxed_containers_tolerate_more_pressure() {
         let s = senpai();
         let signal = ContainerSignal {
@@ -433,20 +410,5 @@ mod tests {
         assert!(s.due(SimTime::from_secs(6)));
         assert!(!s.due(SimTime::from_secs(7)));
         assert!(s.due(SimTime::from_secs(12)));
-    }
-
-    #[test]
-    fn decide_all_maps_each_signal() {
-        let s = senpai();
-        let out = s.decide_all(&[
-            calm(),
-            ContainerSignal {
-                protected: true,
-                ..calm()
-            },
-        ]);
-        assert_eq!(out.len(), 2);
-        assert!(out[0].reclaim > ByteSize::ZERO);
-        assert_eq!(out[1].reclaim, ByteSize::ZERO);
     }
 }

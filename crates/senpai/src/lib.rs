@@ -24,8 +24,7 @@
 //!   swap-out rate stays near a safe threshold (1 MB/s in the paper's
 //!   fleet, Figure 14);
 //! * backs off on **swap-space exhaustion**;
-//! * respects container priorities (tax first, strict-SLA containers
-//!   protected).
+//! * tolerates more pressure in relaxed-SLA (memory tax) containers.
 //!
 //! # Example
 //!
@@ -46,9 +45,7 @@
 pub mod config;
 pub mod controller;
 pub mod oomd;
-pub mod policy;
 
 pub use config::SenpaiConfig;
 pub use controller::{ContainerSignal, Limiter, ReclaimDecision, Senpai};
 pub use oomd::{KillDecision, OomdConfig, OomdMonitor, OomdSignal};
-pub use policy::PolicyMap;

@@ -46,8 +46,6 @@ pub struct OomdSignal {
     /// never fire on data that may describe a recovered container, so
     /// the sustain timer holds (neither grows nor resets).
     pub stale: bool,
-    /// Strict-SLA container: never a kill candidate.
-    pub protected: bool,
 }
 
 /// A kill decision for one container.
@@ -124,8 +122,6 @@ impl OomdMonitor {
     /// Feeds one container's full duress signal for a tick of length
     /// `dt`. Semantics beyond [`observe`](Self::observe):
     ///
-    /// * `protected` containers are never selected — their timer stays
-    ///   zero so protection can be lifted without a stale head start;
     /// * `stale` samples freeze the timer: a kill must not fire on (or
     ///   be forgiven by) data that may be out of date;
     /// * `swap_full` halves the effective threshold — with the swap
@@ -137,10 +133,6 @@ impl OomdMonitor {
         signal: OomdSignal,
         dt: SimDuration,
     ) -> Option<KillDecision> {
-        if signal.protected {
-            self.sustained.insert(container, SimDuration::ZERO);
-            return None;
-        }
         if signal.stale {
             return None;
         }
@@ -267,31 +259,6 @@ mod tests {
         }
         // One fresh sample completes the window.
         assert!(oomd.observe_signal(0, hot, tick()).is_some());
-    }
-
-    #[test]
-    fn protected_containers_are_never_chosen() {
-        let mut oomd = OomdMonitor::new(OomdConfig::default());
-        let doomed = OomdSignal {
-            full_avg10: 0.9,
-            swap_full: true,
-            protected: true,
-            ..OomdSignal::default()
-        };
-        for _ in 0..1000 {
-            assert!(oomd.observe_signal(3, doomed, tick()).is_none());
-        }
-        assert!(oomd.kills().is_empty());
-        // Lifting protection starts from a clean timer, not a head
-        // start accumulated while protected.
-        let unprotected = OomdSignal {
-            protected: false,
-            ..doomed
-        };
-        for _ in 0..9 {
-            assert!(oomd.observe_signal(3, unprotected, tick()).is_none());
-        }
-        assert!(oomd.observe_signal(3, unprotected, tick()).is_some());
     }
 
     #[test]

@@ -79,19 +79,6 @@ proptest! {
     }
 
     #[test]
-    fn protected_containers_never_reclaimed(
-        mem in 0.0f64..0.01,
-        io in 0.0f64..0.01,
-    ) {
-        let s = senpai();
-        let d = s.decide(&ContainerSignal {
-            protected: true,
-            ..signal(mem, io, 0.0)
-        });
-        prop_assert_eq!(d.reclaim, ByteSize::ZERO);
-    }
-
-    #[test]
     fn relaxed_containers_reclaim_at_least_as_much(
         mem in 0.0f64..0.004,
         io in 0.0f64..0.004,

@@ -78,11 +78,6 @@ impl AppProfile {
         self.mem_total.mul_f64(self.anon_fraction)
     }
 
-    /// File-backed bytes of the footprint.
-    pub fn file_bytes(&self) -> ByteSize {
-        self.mem_total.saturating_sub(self.anon_bytes())
-    }
-
     /// Returns a copy scaled to a different total footprint (class
     /// fractions are relative, so only `mem_total` changes).
     pub fn with_mem_total(&self, mem_total: ByteSize) -> AppProfile {
@@ -128,7 +123,6 @@ mod tests {
     fn anon_file_split() {
         let p = profile();
         assert_eq!(p.anon_bytes(), ByteSize::from_mib(256).mul_f64(0.6));
-        assert_eq!(p.anon_bytes() + p.file_bytes(), p.mem_total);
     }
 
     #[test]

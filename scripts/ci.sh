@@ -86,6 +86,15 @@ echo "==> blame-validation smoke: ext_blame_validation --quick --jobs 4 vs golde
     | diff -u scripts/golden/ext_blame_validation_quick.txt - \
     || { echo "ext_blame_validation output drifted from scripts/golden/ext_blame_validation_quick.txt"; exit 1; }
 
+echo "==> paper-scale figures: repro --all vs docs/repro_output.txt"
+# Figures 1-14 at paper scale are quoted in EXPERIMENTS.md and README.md
+# from docs/repro_output.txt. Diffing the live output against it pins
+# every figure end to end, so a change that moves a paper-scale number
+# must regenerate the file in the same change.
+./target/release/repro --all 2>/dev/null \
+    | diff -u docs/repro_output.txt - \
+    || { echo "repro --all output drifted from docs/repro_output.txt"; exit 1; }
+
 echo "==> bench smoke: scripts/bench.sh --smoke"
 # Compiles and exercises every benchmark with clamped sample counts and
 # validates the emitted BENCH_*.json against the required-benchmark

@@ -129,13 +129,6 @@ fn heterogeneous_backends_shift_the_offload_equilibrium() {
 #[test]
 fn multi_container_host_respects_priorities() {
     let mut machine = zswap_machine(512, 19);
-    let protected = machine.add_container_with(
-        &tmo_workload::apps::cache_b().with_mem_total(ByteSize::from_mib(96)),
-        ContainerConfig {
-            protected: true,
-            ..ContainerConfig::default()
-        },
-    );
     let relaxed = machine.add_container_with(
         &tmo_workload::tax::datacenter_tax(ByteSize::from_mib(512)),
         ContainerConfig {
@@ -148,13 +141,11 @@ fn multi_container_host_respects_priorities() {
     let mut rt = TmoRuntime::with_senpai(machine, SenpaiConfig::accelerated(40.0));
     rt.run(SimDuration::from_mins(3));
     let m = rt.machine();
-    assert_eq!(
-        m.savings_fraction(protected),
-        0.0,
-        "protected container must not be reclaimed"
-    );
     assert!(m.savings_fraction(relaxed) > 0.05);
     assert!(m.savings_fraction(normal) > 0.02);
+    // The relaxed-SLA tax container tolerates more pressure, so it
+    // gives up a larger share of its footprint.
+    assert!(m.savings_fraction(relaxed) > m.savings_fraction(normal));
 }
 
 #[test]
@@ -176,16 +167,20 @@ fn pressure_files_render_for_every_container() {
 
 #[test]
 fn swap_capped_device_reports_exhaustion_to_senpai() {
+    let dram = ByteSize::from_mib(256);
     let mut machine = Machine::new(MachineConfig {
-        dram: ByteSize::from_mib(256),
-        // A swap partition of only 8 MiB.
-        swap: SwapKind::SsdCapped(SsdModel::C, ByteSize::from_mib(8)),
+        dram,
+        // A zswap pool of only 3% of DRAM (7.68 MiB).
+        swap: SwapKind::Zswap {
+            capacity_fraction: 0.03,
+            allocator: ZswapAllocator::Zsmalloc,
+        },
         seed: 29,
         ..MachineConfig::default()
     });
     let id = machine
         .add_container(&tmo_workload::apps::analytics().with_mem_total(ByteSize::from_mib(160)));
-    // Ask for far more anon offload than the partition can hold.
+    // Ask for far more anon offload than the pool can hold.
     machine.reclaim(id, ByteSize::from_mib(80));
     machine.run(SimDuration::from_secs(10));
     machine.reclaim(id, ByteSize::from_mib(80));
@@ -194,8 +189,8 @@ fn swap_capped_device_reports_exhaustion_to_senpai() {
         signal.swap_full,
         "swap exhaustion must surface in the signal"
     );
-    let stat = machine.mm().cgroup_stat(machine.container(id).cgroup());
-    assert!(stat.anon_offloaded.to_bytes(machine.config().page_size) <= ByteSize::from_mib(8));
+    let pool = machine.mm().global_stat().zswap_pool_bytes;
+    assert!(pool <= dram.mul_f64(0.03), "pool {pool}");
 }
 
 #[test]
@@ -269,101 +264,6 @@ fn runtime_with_oomd_spares_healthy_containers() {
 }
 
 #[test]
-fn slices_group_containers_for_hierarchy_wide_control() {
-    let mut machine = zswap_machine(512, 41);
-    let slice = machine.create_slice("workload.slice");
-    let a = machine.add_container_with(
-        &tmo_workload::apps::feed().with_mem_total(ByteSize::from_mib(96)),
-        ContainerConfig {
-            slice: Some(slice),
-            ..ContainerConfig::default()
-        },
-    );
-    let b = machine.add_container_with(
-        &tmo_workload::apps::analytics().with_mem_total(ByteSize::from_mib(96)),
-        ContainerConfig {
-            slice: Some(slice),
-            ..ContainerConfig::default()
-        },
-    );
-    // The slice's memory.current covers both children.
-    assert_eq!(machine.mm().memory_current(slice), ByteSize::from_mib(192));
-    // A memory.reclaim write on the slice distributes across children.
-    machine.mm_mut().reclaim(slice, ByteSize::from_mib(20));
-    let a_res = machine
-        .mm()
-        .cgroup_stat(machine.container(a).cgroup())
-        .resident();
-    let b_res = machine
-        .mm()
-        .cgroup_stat(machine.container(b).cgroup())
-        .resident();
-    let total = a_res.as_u64() + b_res.as_u64();
-    let page = machine.config().page_size.as_u64();
-    assert!(total * page <= ByteSize::from_mib(173).as_u64());
-    assert!(a_res.as_u64() * page < ByteSize::from_mib(96).as_u64());
-    assert!(b_res.as_u64() * page < ByteSize::from_mib(96).as_u64());
-}
-
-#[test]
-fn memory_low_shields_a_container_from_its_neighbours() {
-    // A host where one container's growth squeezes DRAM: the protected
-    // neighbour keeps its memory, the unprotected one donates.
-    let mut machine = Machine::new(MachineConfig {
-        dram: ByteSize::from_mib(256),
-        swap: SwapKind::None,
-        seed: 43,
-        ..MachineConfig::default()
-    });
-    let shielded = machine.add_container_with(
-        &tmo_workload::apps::cache_b().with_mem_total(ByteSize::from_mib(80)),
-        ContainerConfig {
-            memory_low: Some(ByteSize::from_mib(96)),
-            ..ContainerConfig::default()
-        },
-    );
-    let donor = machine
-        .add_container(&tmo_workload::apps::analytics().with_mem_total(ByteSize::from_mib(100)));
-    // A third container grows into the remaining DRAM, forcing global
-    // direct reclaim. It stays smaller than the donor so the donor is
-    // the preferred (largest unprotected) victim.
-    let grower = machine.add_container_with(
-        &tmo_workload::apps::feed().with_mem_total(ByteSize::from_mib(80)),
-        ContainerConfig {
-            anon_growth: Some(ByteSize::from_mib(2)),
-            anon_preload_fraction: 0.1,
-            ..ContainerConfig::default()
-        },
-    );
-    machine.run(SimDuration::from_mins(2));
-    let res = |id: ContainerId| {
-        machine
-            .mm()
-            .cgroup_stat(machine.container(id).cgroup())
-            .resident()
-            .as_u64()
-            * machine.config().page_size.as_u64()
-    };
-    assert!(
-        machine.mm().global_stat().direct_reclaims > 0,
-        "no squeeze happened"
-    );
-    // The shielded container kept (almost) everything.
-    assert!(
-        res(shielded) >= ByteSize::from_mib(78).as_u64(),
-        "shielded lost memory: {}",
-        ByteSize::new(res(shielded))
-    );
-    // The donor gave up pages.
-    assert!(
-        res(donor) < ByteSize::from_mib(98).as_u64(),
-        "donor kept everything: {}",
-        ByteSize::new(res(donor))
-    );
-    let _ = grower;
-}
-
-#[test]
 fn host_psi_aggregates_all_containers() {
     let mut machine = zswap_machine(512, 59);
     let a =
@@ -426,34 +326,4 @@ fn diurnal_load_modulates_memory_behaviour() {
         peak_accesses as f64 > trough_accesses as f64 * 1.5,
         "peak {peak_accesses} vs trough {trough_accesses}"
     );
-}
-
-#[test]
-fn nvm_backend_runs_the_full_stack() {
-    // §5.2's future tier as a drop-in: faster than SSD, dearer than
-    // zswap-free DRAM, no endurance constraint.
-    let mut machine = Machine::new(MachineConfig {
-        dram: ByteSize::from_mib(256),
-        swap: SwapKind::Nvm(ByteSize::from_mib(256)),
-        seed: 71,
-        ..MachineConfig::default()
-    });
-    let id =
-        machine.add_container(&tmo_workload::apps::feed().with_mem_total(ByteSize::from_mib(128)));
-    let mut rt = TmoRuntime::with_senpai(
-        machine,
-        SenpaiConfig {
-            write_limit_mbps: None,
-            ..SenpaiConfig::accelerated(40.0)
-        },
-    );
-    rt.run(SimDuration::from_mins(3));
-    let m = rt.machine();
-    assert!(m.savings_fraction(id) > 0.08, "{}", m.savings_fraction(id));
-    // NVM faults are microseconds: pressure stays far under threshold,
-    // so the equilibrium offload exceeds what a slow SSD would allow.
-    let psi = m.container(id).psi().some_avg10(Resource::Memory);
-    assert!(psi < 0.01, "psi {psi}");
-    let stats = m.mm().swap_stats().expect("nvm backend");
-    assert!(stats.pages_stored > 0);
 }
