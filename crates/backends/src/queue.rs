@@ -6,7 +6,7 @@
 //! an M/M/1-style service-time inflation factor `1 / (1 - ρ)`, capped so
 //! an oversubscribed device degrades smoothly instead of diverging.
 
-use tmo_sim::SimDuration;
+use tmo_sim::{RateCounter, SimDuration};
 
 /// Maximum latency inflation at saturation.
 const MAX_INFLATION: f64 = 8.0;
@@ -38,13 +38,7 @@ const RATE_WINDOW: SimDuration = SimDuration::from_secs(2);
 #[derive(Debug, Clone)]
 pub struct CongestionModel {
     capacity_iops: f64,
-    arrivals_this_tick: u64,
-    rate_ewma: f64,
-    /// Tick length the cached decay factor was computed for; ticks are
-    /// fixed-length in practice, so the `exp` runs once, not per tick.
-    /// The cache returns the exact `f64` recomputation would yield.
-    cached_dt_secs: f64,
-    cached_decay: f64,
+    arrivals: RateCounter,
 }
 
 impl CongestionModel {
@@ -60,10 +54,7 @@ impl CongestionModel {
         );
         CongestionModel {
             capacity_iops,
-            arrivals_this_tick: 0,
-            rate_ewma: 0.0,
-            cached_dt_secs: 0.0,
-            cached_decay: 1.0,
+            arrivals: RateCounter::new(RATE_WINDOW),
         }
     }
 
@@ -74,29 +65,18 @@ impl CongestionModel {
 
     /// Records one request arrival.
     pub fn on_arrival(&mut self) {
-        self.arrivals_this_tick += 1;
+        self.arrivals.add(1);
     }
 
     /// Folds the tick's arrivals into the rate estimate; call once per
     /// simulation tick with the tick length.
     pub fn tick(&mut self, dt: SimDuration) {
-        if dt.is_zero() {
-            return;
-        }
-        let dt_secs = dt.as_secs_f64();
-        if dt_secs != self.cached_dt_secs {
-            self.cached_dt_secs = dt_secs;
-            self.cached_decay = (-dt_secs / RATE_WINDOW.as_secs_f64()).exp();
-        }
-        let inst_rate = self.arrivals_this_tick as f64 / dt_secs;
-        let decay = self.cached_decay;
-        self.rate_ewma = self.rate_ewma * decay + inst_rate * (1.0 - decay);
-        self.arrivals_this_tick = 0;
+        self.arrivals.tick(dt);
     }
 
     /// Current utilisation estimate `ρ` in `[0, ∞)`.
     pub fn utilization(&self) -> f64 {
-        self.rate_ewma / self.capacity_iops
+        self.arrivals.rate() / self.capacity_iops
     }
 
     /// The latency multiplier to apply to base service time:

@@ -7,7 +7,7 @@
 //! a pTBW endurance budget — the paper's §4.5 write-regulation mechanism
 //! reads these counters.
 
-use tmo_sim::{ByteSize, DetRng, SimDuration};
+use tmo_sim::{ByteSize, DetRng, RateCounter, SimDuration};
 
 use crate::queue::CongestionModel;
 use crate::traits::{BackendKind, BackendStats, DeviceFault, IoKind, OffloadBackend, StoreOutcome};
@@ -94,13 +94,8 @@ pub struct SsdDevice {
     read_queue: CongestionModel,
     write_queue: CongestionModel,
     stats: BackendStats,
-    write_bytes_this_tick: u64,
-    write_rate_bps: f64,
-    /// Tick length the cached decay factor was computed for; ticks are
-    /// fixed-length in practice, so the `exp` runs once, not per tick.
-    /// The cache returns the exact `f64` recomputation would yield.
-    cached_dt_secs: f64,
-    cached_decay: f64,
+    /// Host bytes written, smoothed into bytes/second.
+    write_rate: RateCounter,
     /// Media bytes physically written (host bytes × write amplification),
     /// the quantity that actually consumes endurance.
     media_bytes_written: f64,
@@ -127,10 +122,7 @@ impl SsdDevice {
             read_queue,
             write_queue,
             stats: BackendStats::default(),
-            write_bytes_this_tick: 0,
-            write_rate_bps: 0.0,
-            cached_dt_secs: 0.0,
-            cached_decay: 1.0,
+            write_rate: RateCounter::new(WRITE_RATE_WINDOW),
             media_bytes_written: 0.0,
             dead: false,
             worn_out: false,
@@ -200,7 +192,7 @@ impl OffloadBackend for SsdDevice {
                 self.write_queue.on_arrival();
                 self.stats.writes += 1;
                 self.stats.bytes_written += bytes;
-                self.write_bytes_this_tick += bytes.as_u64();
+                self.write_rate.add(bytes.as_u64());
                 // WA depends only on bytes_stored, which this access does
                 // not change, so one computation serves both the media
                 // accounting and the GC latency penalty below.
@@ -267,26 +259,15 @@ impl OffloadBackend for SsdDevice {
     }
 
     fn tick(&mut self, dt: SimDuration) {
-        if dt.is_zero() {
-            return;
-        }
         self.read_queue.tick(dt);
         self.write_queue.tick(dt);
-        let dt_secs = dt.as_secs_f64();
-        if dt_secs != self.cached_dt_secs {
-            self.cached_dt_secs = dt_secs;
-            self.cached_decay = (-dt_secs / WRITE_RATE_WINDOW.as_secs_f64()).exp();
-        }
-        let inst = self.write_bytes_this_tick as f64 / dt_secs;
-        let decay = self.cached_decay;
-        self.write_rate_bps = self.write_rate_bps * decay + inst * (1.0 - decay);
-        self.write_bytes_this_tick = 0;
+        self.write_rate.tick(dt);
     }
 
     /// Estimated recent write rate in MB/s (decimal megabytes, matching
     /// the paper's "1 MB/s" regulation threshold).
     fn write_rate_mbps(&self) -> f64 {
-        self.write_rate_bps / 1e6
+        self.write_rate.rate() / 1e6
     }
 
     fn inject(&mut self, fault: DeviceFault) {

@@ -8,7 +8,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use tmo_backends::ZswapAllocator;
-use tmo_experiments::{ablate, Scale};
+use tmo_experiments::{ablate, FleetRunner, Scale};
 use tmo_mm::ReclaimPolicy;
 use tmo_sim::SimDuration;
 
@@ -70,7 +70,12 @@ fn extension_tiered(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(3));
     group.bench_function("tiered_hierarchy_mixed_host", |b| {
-        b.iter(|| black_box(tmo_experiments::ext_tiered::simulate(Scale::Quick)))
+        b.iter(|| {
+            black_box(tmo_experiments::ext_tiered::simulate_with(
+                &FleetRunner::new(0),
+                Scale::Quick,
+            ))
+        })
     });
     group.finish();
 }

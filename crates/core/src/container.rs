@@ -34,13 +34,6 @@ pub struct ContainerConfig {
     /// Fraction of the anonymous budget allocated up front when growth
     /// is enabled (the rest arrives at `anon_growth` per second).
     pub anon_preload_fraction: f64,
-    /// Scale access intensity (and web demand) with a time-of-day curve.
-    pub diurnal: Option<tmo_workload::DiurnalPattern>,
-    /// Pathological file-cache churn (the §5.1 self-extracting-binary
-    /// anecdote): create this many bytes of file cache per second that
-    /// are written once and never read again. Evicted churn pages are
-    /// dropped entirely (the file was replaced).
-    pub file_churn: Option<ByteSize>,
     /// Mark as relaxed-SLA (memory tax; tolerate higher pressure).
     pub relaxed: bool,
 }
@@ -93,13 +86,10 @@ pub struct Container {
     pub(crate) swap_full_seen: bool,
     /// False once the container has been killed.
     pub(crate) alive: bool,
-    /// Time-of-day demand curve, when configured.
-    pub(crate) diurnal: Option<tmo_workload::DiurnalPattern>,
-    /// File-cache churn rate in pages/second (0 = none).
-    pub(crate) churn_pages_per_sec: f64,
     /// Fractional churn carry between ticks.
     pub(crate) churn_carry: f64,
-    /// Write-once never-read file pages created by the churn.
+    /// Write-once never-read file pages created by a modulator's churn
+    /// (the §5.1 self-extracting-binary anecdote).
     pub(crate) churn_pages: Vec<PageId>,
     /// Anonymous pages leaked by a scenario modulator: allocated, never
     /// touched again, released only when the container is killed.

@@ -511,11 +511,6 @@ impl Machine {
             relaxed: cfg.relaxed,
             swap_full_seen: false,
             alive: true,
-            diurnal: cfg.diurnal,
-            churn_pages_per_sec: cfg
-                .file_churn
-                .map(|rate| rate.as_u64() as f64 / self.config.page_size.as_u64() as f64)
-                .unwrap_or(0.0),
             churn_carry: 0.0,
             churn_pages: Vec::new(),
             leak_pages: Vec::new(),
@@ -668,19 +663,16 @@ impl Machine {
             }
         }
 
-        // 1b. Pathological file-cache churn (§5.1): write-once file
-        // pages accumulate; pages the kernel has since evicted are
-        // dropped for good (their content was replaced), page structs
-        // and all. A scenario modulator can add a sidecar-tax spike on
-        // top of the configured rate; with no modulator and no
-        // configured churn this whole step is untouched dead code, so
-        // the pre-scenario tick path stays byte-identical.
+        // 1b. Pathological file-cache churn (§5.1, or a scenario's
+        // sidecar-tax spike): write-once file pages from the modulator
+        // accumulate; pages the kernel has since evicted are dropped
+        // for good (their content was replaced), page structs and all.
+        // With no modulator this step never runs.
         let page_bytes = self.config.page_size.as_u64() as f64;
-        let churn_pages_per_sec = self.containers[ci].churn_pages_per_sec
-            + match &self.modulator {
-                Some(m) => m.churn_bytes_per_sec(ci, now).as_u64() as f64 / page_bytes,
-                None => 0.0,
-            };
+        let churn_pages_per_sec = match &self.modulator {
+            Some(m) => m.churn_bytes_per_sec(ci, now).as_u64() as f64 / page_bytes,
+            None => 0.0,
+        };
         if churn_pages_per_sec > 0.0 || !self.containers[ci].churn_pages.is_empty() {
             let want = churn_pages_per_sec * dt.as_secs_f64() + self.containers[ci].churn_carry;
             let n = want as u64;
@@ -740,9 +732,6 @@ impl Machine {
             .as_ref()
             .map(|w| (w.rps() / w.config().max_rps).max(0.5))
             .unwrap_or(1.0);
-        if let Some(diurnal) = self.containers[ci].diurnal {
-            scale *= diurnal.demand_fraction(now);
-        }
         if let Some(m) = &self.modulator {
             scale *= m.demand_scale(ci, now);
         }
@@ -1137,7 +1126,6 @@ impl Machine {
         let c = &mut self.containers[id.0];
         c.class_pages.iter_mut().for_each(Vec::clear);
         c.churn_pages.clear();
-        c.churn_pages_per_sec = 0.0;
         c.leak_pages.clear();
         c.leak_carry = 0.0;
         c.alive = false;
@@ -1219,10 +1207,11 @@ impl Machine {
     }
 
     /// DRAM the container's offloading actually frees for other use:
-    /// offloaded bytes minus the container's share of the compressed
-    /// pool's DRAM cost (apportioned over the pool actually in use, so
-    /// pages a tiered backend demoted to SSD cost nothing). For pure
-    /// SSD/NVM backends this equals the offloaded bytes.
+    /// offloaded anon plus evicted file bytes, minus the container's
+    /// share of the compressed pool's DRAM cost (apportioned over the
+    /// pool actually in use, so pages a tiered backend demoted to SSD
+    /// cost nothing). With no zswap pool in use (SSD swap, or no swap)
+    /// nothing is subtracted.
     pub fn net_savings_bytes(&self, id: ContainerId) -> ByteSize {
         let c = &self.containers[id.0];
         let stat = self.mm.cgroup_stat(c.cg);
@@ -1418,6 +1407,16 @@ mod tests {
         }
     }
 
+    /// 1 MiB/s of write-once file cache in every container.
+    #[derive(Debug)]
+    struct JunkChurn;
+
+    impl WorkloadModulator for JunkChurn {
+        fn churn_bytes_per_sec(&self, _container: usize, _now: SimTime) -> ByteSize {
+            ByteSize::from_mib(1)
+        }
+    }
+
     #[test]
     fn file_churn_grows_the_cache_until_reclaimed() {
         // The §5.1 anecdote: a self-extracting binary fills the file
@@ -1426,13 +1425,8 @@ mod tests {
             dram: ByteSize::from_mib(256),
             ..MachineConfig::default()
         });
-        let id = m.add_container_with(
-            &small_profile(),
-            ContainerConfig {
-                file_churn: Some(ByteSize::from_mib(1)), // 1 MiB/s of junk
-                ..ContainerConfig::default()
-            },
-        );
+        let id = m.add_container(&small_profile());
+        m.set_modulator(Box::new(JunkChurn));
         let cg = m.container(id).cgroup();
         let before = m.mm().cgroup_stat(cg).file_resident;
         m.run(SimDuration::from_secs(60));

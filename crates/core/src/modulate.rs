@@ -29,8 +29,8 @@ use tmo_sim::{ByteSize, SimDuration, SimTime};
 /// only the behaviours its scenario uses.
 pub trait WorkloadModulator: std::fmt::Debug + Send {
     /// Multiplier on the container's access intensity at `now`
-    /// (composes with the web-admission and diurnal scales already on
-    /// the container). `1.0` is neutral; `3.0` is a flash crowd;
+    /// (composes with the web-admission scale already on the
+    /// container). `1.0` is neutral; `3.0` is a flash crowd;
     /// `0.3` is a nighttime trough.
     fn demand_scale(&self, container: usize, now: SimTime) -> f64 {
         let _ = (container, now);
@@ -45,8 +45,9 @@ pub trait WorkloadModulator: std::fmt::Debug + Send {
         ByteSize::ZERO
     }
 
-    /// Extra write-once file-cache churn per second at `now`, on top of
-    /// the container's configured churn rate (the sidecar-tax spike).
+    /// Write-once file-cache churn per second at `now` (the §5.1
+    /// self-extracting binary, or a sidecar-tax spike): pages written
+    /// once, never read again, and dropped once evicted.
     /// [`ByteSize::ZERO`] is neutral.
     fn churn_bytes_per_sec(&self, container: usize, now: SimTime) -> ByteSize {
         let _ = (container, now);
@@ -69,16 +70,15 @@ pub trait WorkloadModulator: std::fmt::Debug + Send {
     }
 }
 
-/// The neutral modulator: every hook is a no-op. Attaching it is
-/// behaviourally identical to attaching nothing (pinned by test).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullModulator;
-
-impl WorkloadModulator for NullModulator {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A modulator overriding nothing.
+    #[derive(Debug)]
+    struct NullModulator;
+
+    impl WorkloadModulator for NullModulator {}
 
     #[test]
     fn null_modulator_is_neutral() {

@@ -311,13 +311,6 @@ pub struct FleetRunner {
     jobs: usize,
 }
 
-impl Default for FleetRunner {
-    /// A runner sized to the machine (`available_parallelism`).
-    fn default() -> Self {
-        FleetRunner::auto()
-    }
-}
-
 impl FleetRunner {
     /// A runner with at most `jobs` worker threads, clamped to the
     /// machine's available parallelism. `jobs == 0` means "size to the
@@ -329,11 +322,9 @@ impl FleetRunner {
     /// that must exercise the multi-worker merge path regardless of the
     /// machine use [`FleetRunner::exact`].
     pub fn new(jobs: usize) -> Self {
-        if jobs == 0 {
-            return FleetRunner::auto();
-        }
+        let cores = Self::machine_parallelism();
         FleetRunner {
-            jobs: jobs.min(Self::machine_parallelism()),
+            jobs: if jobs == 0 { cores } else { jobs.min(cores) },
         }
     }
 
@@ -342,13 +333,6 @@ impl FleetRunner {
     /// to drive the real multi-worker claim/merge path on any host.
     pub fn exact(jobs: usize) -> Self {
         FleetRunner { jobs: jobs.max(1) }
-    }
-
-    /// A runner sized to the machine's available parallelism.
-    pub fn auto() -> Self {
-        FleetRunner {
-            jobs: Self::machine_parallelism(),
-        }
     }
 
     /// The degenerate single-worker runner: runs hosts inline on the
@@ -608,12 +592,15 @@ mod tests {
     #[test]
     fn jobs_zero_sizes_to_the_machine() {
         assert!(FleetRunner::new(0).jobs() >= 1);
-        assert_eq!(FleetRunner::new(0).jobs(), FleetRunner::auto().jobs());
+        assert_eq!(
+            FleetRunner::new(0).jobs(),
+            FleetRunner::new(usize::MAX).jobs()
+        );
     }
 
     #[test]
     fn new_clamps_to_machine_parallelism_and_exact_does_not() {
-        let cores = FleetRunner::auto().jobs();
+        let cores = FleetRunner::new(0).jobs();
         assert!(FleetRunner::new(10_000).jobs() <= cores);
         assert_eq!(FleetRunner::exact(10_000).jobs(), 10_000);
         assert_eq!(FleetRunner::exact(0).jobs(), 1);

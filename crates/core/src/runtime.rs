@@ -10,7 +10,7 @@ use crate::machine::Machine;
 
 /// Which controller closes the offloading loop.
 #[derive(Debug)]
-pub enum ControllerKind {
+enum ControllerKind {
     /// No proactive offloading (the experiments' baseline tier).
     None,
     /// TMO's Senpai with one global config.
@@ -84,11 +84,6 @@ impl TmoRuntime {
     /// Mutable access to the machine.
     pub fn machine_mut(&mut self) -> &mut Machine {
         &mut self.machine
-    }
-
-    /// The controller.
-    pub fn controller(&self) -> &ControllerKind {
-        &self.controller
     }
 
     /// Consumes the runtime, returning the machine (for phase changes

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro --figure 9            # one figure
-//! repro --all                 # every figure plus the ablations
+//! repro --all                 # every figure, the ablations and the extensions
 //! repro --all --quick         # reduced scale
 //! repro --all --jobs 8        # shard multi-host figures over 8 workers
 //! repro --figure 12 --csv out # also export raw series as CSV
@@ -13,9 +13,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use tmo_experiments::{
-    ablate, experiment_description, ext_adversarial, ext_chaos, ext_sweep, ext_tiered,
-    figure_description, headline, run_figure_with, run_named_with, ExperimentOutput, FleetRunner,
-    Scale, ALL_FIGURES, NAMED_EXPERIMENTS,
+    experiment_description, figure_description, run_figure_with, run_named_with, ExperimentOutput,
+    FleetRunner, Scale, ALL_FIGURES, EXTENSIONS, NAMED_EXPERIMENTS,
 };
 
 #[derive(Debug, Default)]
@@ -159,7 +158,14 @@ fn main() -> ExitCode {
             }
         }
     }
-    for name in &args.experiments {
+    let mut named: Vec<&str> = args.experiments.iter().map(String::as_str).collect();
+    if args.all || args.ablations {
+        named.push("ablate");
+    }
+    if args.all || args.extensions {
+        named.extend(EXTENSIONS);
+    }
+    for name in named {
         let Some(output) = run_named_with(&runner, name, scale) else {
             eprintln!(
                 "unknown experiment {name}; known: {}",
@@ -174,22 +180,6 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-    }
-    if args.all || args.ablations {
-        let output = ablate::run_with(&runner, scale);
-        println!("{}", output.render());
-    }
-    if args.all || args.extensions {
-        let output = ext_tiered::run_with(&runner, scale);
-        println!("{}", output.render());
-        let output = ext_sweep::run_with(&runner, scale);
-        println!("{}", output.render());
-        let output = ext_chaos::run_with(&runner, scale);
-        println!("{}", output.render());
-        let output = ext_adversarial::run_with(&runner, scale);
-        println!("{}", output.render());
-        let output = headline::run_with(&runner, scale);
-        println!("{}", output.render());
     }
     ExitCode::SUCCESS
 }

@@ -72,12 +72,26 @@ pub fn build_host(
     faults: Option<FaultConfig>,
     scratch: MachineScratch,
 ) -> Machine {
+    three_container_host(seed, scale, faults, scratch, 0.25)
+}
+
+/// The three-container host shape shared with the blame-validation
+/// experiment: a large primary (the natural reclaim victim), the
+/// datacenter-tax sidecar, and a cache, over a zswap pool holding
+/// `zswap_fraction` of DRAM.
+pub(crate) fn three_container_host(
+    seed: u64,
+    scale: Scale,
+    faults: Option<FaultConfig>,
+    scratch: MachineScratch,
+    zswap_fraction: f64,
+) -> Machine {
     let dram = ByteSize::from_mib(scale.dram_mib());
     let mut machine = Machine::with_scratch(
         MachineConfig {
             dram,
             swap: SwapKind::Zswap {
-                capacity_fraction: 0.25,
+                capacity_fraction: zswap_fraction,
                 allocator: ZswapAllocator::Zsmalloc,
             },
             seed,
@@ -228,22 +242,12 @@ pub fn run_ab(runner: &FleetRunner, scenario: &Scenario, scale: Scale) -> AbResu
     }
 }
 
-/// Runs every catalog scenario, sized to the machine.
-pub fn simulate(scale: Scale) -> Vec<ScenarioPoint> {
-    simulate_with(&FleetRunner::default(), scale)
-}
-
 /// Runs every catalog scenario on the given runner.
 pub fn simulate_with(runner: &FleetRunner, scale: Scale) -> Vec<ScenarioPoint> {
     scenarios(scale)
         .iter()
         .map(|s| run_point(runner, s, scale))
         .collect()
-}
-
-/// Regenerates the adversarial table, sized to the machine.
-pub fn run(scale: Scale) -> ExperimentOutput {
-    run_with(&FleetRunner::default(), scale)
 }
 
 /// Regenerates the adversarial table on the given runner.

@@ -26,6 +26,7 @@ use tmo::prelude::*;
 use tmo::runner::FleetRunner;
 use tmo_scenarios::prelude::*;
 
+use crate::ext_adversarial;
 use crate::report::{pct, ExperimentOutput, Scale};
 
 /// Experiment-level seed; host `i` runs with
@@ -35,16 +36,11 @@ pub const EXPERIMENT_SEED: u64 = 2300;
 /// Hosts replaying each planted case.
 pub const HOSTS_PER_CASE: usize = 4;
 
-/// Planted-scenario run length at this scale.
-pub fn run_duration(scale: Scale) -> SimDuration {
-    SimDuration::from_mins(scale.minutes().max(4))
-}
-
 /// The planted single-offender cases: leaks and churn spikes planted
 /// into different containers of the same three-container host the
 /// adversarial experiment uses, every other container steady.
 pub fn planted_cases(scale: Scale) -> Vec<PlantedScenario> {
-    let run = run_duration(scale);
+    let run = ext_adversarial::run_duration(scale);
     let dram = ByteSize::from_mib(scale.dram_mib());
     // A churn spike on the cache (container 2) is fully absorbed by
     // the offload path — the counterfactual victim stall is zero, so
@@ -57,45 +53,12 @@ pub fn planted_cases(scale: Scale) -> Vec<PlantedScenario> {
     ]
 }
 
-/// Controller + scoring config for the planted runs.
-pub fn run_config(scale: Scale) -> ScenarioRunConfig {
-    ScenarioRunConfig {
-        senpai: SenpaiConfig::accelerated(scale.speedup()),
-        oomd: Some(OomdConfig::default()),
-        slo: SloConfig::default(),
-        duration: run_duration(scale),
-    }
-}
-
-/// The same three-container host shape as the adversarial experiment:
-/// a large primary (the natural reclaim victim), the datacenter-tax
-/// sidecar, and a cache — sized so one misbehaving container pressures
-/// the others.
+/// The adversarial experiment's three-container host with a smaller
+/// zswap pool (10% of DRAM instead of 25%) on purpose: the planted
+/// offender must be able to exhaust the offload path so its pressure
+/// reaches the victims.
 pub fn build_host(seed: u64, scale: Scale) -> Machine {
-    let dram = ByteSize::from_mib(scale.dram_mib());
-    let mut machine = Machine::new(MachineConfig {
-        dram,
-        swap: SwapKind::Zswap {
-            // Smaller than the adversarial experiment's pool on
-            // purpose: the planted offender must be able to exhaust
-            // the offload path so its pressure reaches the victims.
-            capacity_fraction: 0.10,
-            allocator: ZswapAllocator::Zsmalloc,
-        },
-        seed,
-        faults: None,
-        ..MachineConfig::default()
-    });
-    machine.add_container(&apps::feed().with_mem_total(dram.mul_f64(0.42)));
-    machine.add_container_with(
-        &tax::datacenter_tax(dram),
-        ContainerConfig {
-            relaxed: true,
-            ..ContainerConfig::default()
-        },
-    );
-    machine.add_container(&apps::cache_a().with_mem_total(dram.mul_f64(0.30)));
-    machine
+    ext_adversarial::three_container_host(seed, scale, None, MachineScratch::default(), 0.10)
 }
 
 /// One planted case's fleet-aggregated verdict.
@@ -121,7 +84,7 @@ pub struct CaseResult {
 
 /// Runs one planted case across the fleet and aggregates.
 pub fn run_case(runner: &FleetRunner, case: &PlantedScenario, scale: Scale) -> CaseResult {
-    let cfg = run_config(scale);
+    let cfg = ext_adversarial::run_config(scale, false);
     let (rows, stats) =
         runner.run_collect_seeded_sharded(EXPERIMENT_SEED, HOSTS_PER_CASE, |host, _arena| {
             evaluate_planted(case, &cfg, || build_host(host.seed, scale))
@@ -147,22 +110,12 @@ pub fn run_case(runner: &FleetRunner, case: &PlantedScenario, scale: Scale) -> C
     }
 }
 
-/// Runs every planted case, sized to the machine.
-pub fn simulate(scale: Scale) -> Vec<CaseResult> {
-    simulate_with(&FleetRunner::default(), scale)
-}
-
 /// Runs every planted case on the given runner.
 pub fn simulate_with(runner: &FleetRunner, scale: Scale) -> Vec<CaseResult> {
     planted_cases(scale)
         .iter()
         .map(|c| run_case(runner, c, scale))
         .collect()
-}
-
-/// Regenerates the precision table, sized to the machine.
-pub fn run(scale: Scale) -> ExperimentOutput {
-    run_with(&FleetRunner::default(), scale)
 }
 
 /// Regenerates the precision table on the given runner.

@@ -84,19 +84,14 @@ pub struct ChaosPoint {
 
 /// Runs one chaos host: a Feed workload plus a relaxed datacenter-tax
 /// sidecar under accelerated Senpai and oomd, with the host's fault
-/// schedule derived from its seed.
-pub fn run_host(seed: u64, index: usize, intensity: f64, scale: Scale) -> ChaosHostReport {
-    run_host_with_scratch(seed, index, intensity, scale, MachineScratch::default()).0
-}
-
-/// [`run_host`] with an adopted [`MachineScratch`], for shard-arena
-/// buffer recycling. Returns the host's report plus the retired
-/// (scrubbed) scratch. Behavior is bit-identical to [`run_host`]
-/// whatever the scratch previously held — the `arena_reuse` tests pin
-/// this even under crash-churn and host-panic schedules. Note a host
-/// whose injected panic fires never returns: its scratch dies with it,
-/// and the arena falls back to a fresh default for the next host.
-pub fn run_host_with_scratch(
+/// schedule derived from its seed, on an adopted [`MachineScratch`]
+/// for shard-arena buffer recycling. Returns the host's report plus the
+/// retired (scrubbed) scratch. Behavior is bit-identical whatever the
+/// scratch previously held — the `arena_reuse` tests pin this even
+/// under crash-churn and host-panic schedules. Note a host whose
+/// injected panic fires never returns: its scratch dies with it, and
+/// the arena falls back to a fresh default for the next host.
+pub fn run_host(
     seed: u64,
     index: usize,
     intensity: f64,
@@ -159,7 +154,7 @@ pub fn run_host_with_scratch(
 pub fn run_point(runner: &FleetRunner, intensity: f64, scale: Scale) -> ChaosPoint {
     let (outcomes, stats) =
         runner.run_collect_seeded_sharded(EXPERIMENT_SEED, HOSTS_PER_POINT, |host, arena| {
-            let (report, scratch) = run_host_with_scratch(
+            let (report, scratch) = run_host(
                 host.seed,
                 host.index,
                 intensity,
@@ -198,22 +193,12 @@ pub fn run_point(runner: &FleetRunner, intensity: f64, scale: Scale) -> ChaosPoi
     }
 }
 
-/// Runs the whole sweep, sized to the machine.
-pub fn simulate(scale: Scale) -> Vec<ChaosPoint> {
-    simulate_with(&FleetRunner::default(), scale)
-}
-
 /// Runs the whole sweep on the given runner.
 pub fn simulate_with(runner: &FleetRunner, scale: Scale) -> Vec<ChaosPoint> {
     INTENSITIES
         .iter()
         .map(|&intensity| run_point(runner, intensity, scale))
         .collect()
-}
-
-/// Regenerates the degradation table, sized to the machine.
-pub fn run(scale: Scale) -> ExperimentOutput {
-    run_with(&FleetRunner::default(), scale)
 }
 
 /// Regenerates the degradation table on the given runner.

@@ -64,11 +64,6 @@ pub fn run_backend(label: &str, swap: SwapKind, scale: Scale) -> TieredResult {
     }
 }
 
-/// Runs all three architectures, sized to the machine.
-pub fn simulate(scale: Scale) -> Vec<TieredResult> {
-    simulate_with(&tmo::runner::FleetRunner::default(), scale)
-}
-
 /// Runs all three architectures, one worker per backend.
 pub fn simulate_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> Vec<TieredResult> {
     let backends: [(&str, SwapKind); 3] = [
@@ -96,11 +91,6 @@ pub fn simulate_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> Vec<Tie
         run_backend(label, swap, scale)
     });
     expect_all(results)
-}
-
-/// Regenerates the extension comparison, sized to the machine.
-pub fn run(scale: Scale) -> ExperimentOutput {
-    run_with(&tmo::runner::FleetRunner::default(), scale)
 }
 
 /// Regenerates the extension comparison on the given runner.
@@ -148,7 +138,7 @@ mod tests {
 
     #[test]
     fn tiered_trades_where_the_paper_says_it_should() {
-        let results = simulate(Scale::Quick);
+        let results = simulate_with(&tmo::runner::FleetRunner::new(0), Scale::Quick);
         let (zswap, ssd, tiered) = (&results[0], &results[1], &results[2]);
         // The hierarchy matches or beats SSD-only on savings (within
         // run-to-run noise): its warm tier absorbs the compressible

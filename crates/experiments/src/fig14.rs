@@ -56,7 +56,6 @@ fn unregulated(scale: Scale) -> SenpaiConfig {
         max_step_fraction: 0.20,
         interval: SimDuration::from_secs(3),
         write_limit_mbps: None,
-        ..SenpaiConfig::accelerated(scale.speedup())
     }
 }
 
@@ -120,16 +119,6 @@ pub fn simulate_with(runner: &FleetRunner, scale: Scale) -> Vec<DayRow> {
         .collect()
 }
 
-/// Runs the cluster sized to the machine.
-pub fn simulate(scale: Scale) -> Vec<DayRow> {
-    simulate_with(&FleetRunner::default(), scale)
-}
-
-/// Regenerates Figure 14, sized to the machine.
-pub fn run(scale: Scale) -> ExperimentOutput {
-    run_with(&FleetRunner::default(), scale)
-}
-
 /// Regenerates Figure 14 on the given runner.
 pub fn run_with(runner: &FleetRunner, scale: Scale) -> ExperimentOutput {
     let mut out = ExperimentOutput::new(
@@ -168,7 +157,7 @@ mod tests {
 
     #[test]
     fn regulation_clamps_the_write_rate() {
-        let rows = simulate(Scale::Quick);
+        let rows = simulate_with(&FleetRunner::new(0), Scale::Quick);
         assert_eq!(rows.len(), 14);
         let unreg_p90: f64 = rows[2..7].iter().map(|r| r.p90).sum::<f64>() / 5.0;
         let reg_p90: f64 = rows[9..14].iter().map(|r| r.p90).sum::<f64>() / 5.0;

@@ -86,16 +86,6 @@ fn simulate_with_stats(
     (hosts, stats, summary)
 }
 
-/// Runs the whole fleet and aggregates, sized to the machine.
-pub fn simulate(scale: Scale) -> (Vec<HostSavings>, FleetSummary) {
-    simulate_with(&FleetRunner::default(), scale)
-}
-
-/// Regenerates the headline table, sized to the machine.
-pub fn run(scale: Scale) -> ExperimentOutput {
-    run_with(&FleetRunner::default(), scale)
-}
-
 /// Regenerates the headline table on the given runner.
 pub fn run_with(runner: &FleetRunner, scale: Scale) -> ExperimentOutput {
     let mut out = ExperimentOutput::new(

@@ -67,7 +67,7 @@ pub use tmo::runner::{FleetError, FleetRunner, FleetStats, HostCtx};
 /// Runs one experiment by figure number, sized to the machine. Returns
 /// `None` for numbers the paper does not define.
 pub fn run_figure(figure: u32, scale: Scale) -> Option<ExperimentOutput> {
-    run_figure_with(&FleetRunner::default(), figure, scale)
+    run_figure_with(&FleetRunner::new(0), figure, scale)
 }
 
 /// Runs one experiment by figure number on the given runner. Multi-host
@@ -101,11 +101,12 @@ pub fn run_figure_with(
 /// All reproducible figure numbers in order.
 pub const ALL_FIGURES: [u32; 14] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14];
 
-/// The named (non-figure) experiments. All but `ext_paper_scale` run
-/// under `--extensions` / `--all`, in this order; `ext_paper_scale` is
-/// wall-clock-bound (it measures the harness itself, sweeping its own
-/// worker counts) and runs only when named explicitly with
-/// `--experiment ext_paper_scale`.
+/// The named (non-figure) experiments, for `--experiment NAME`.
+/// `ablate` runs under `--ablations` / `--all` and the
+/// [`EXTENSIONS`] under `--extensions` / `--all`. The other two run
+/// only when named: `ext_blame_validation` replays every planted case
+/// twice, and `ext_paper_scale` is wall-clock-bound (it measures the
+/// harness itself, sweeping its own worker counts).
 pub const NAMED_EXPERIMENTS: [&str; 8] = [
     "ablate",
     "ext_tiered",
@@ -115,6 +116,15 @@ pub const NAMED_EXPERIMENTS: [&str; 8] = [
     "ext_blame_validation",
     "headline",
     "ext_paper_scale",
+];
+
+/// The named experiments `--extensions` / `--all` run, in this order.
+pub const EXTENSIONS: [&str; 5] = [
+    "ext_tiered",
+    "ext_sweep",
+    "ext_chaos",
+    "ext_adversarial",
+    "headline",
 ];
 
 /// Runs one named experiment on the given runner. Returns `None` for
@@ -168,4 +178,17 @@ pub fn experiment_description(name: &str) -> Option<&'static str> {
         "ext_paper_scale" => "shard-chunked fleet-runner scaling laws (wall-clock bound)",
         _ => return None,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn extensions_are_documented_named_experiments() {
+        for name in EXTENSIONS {
+            assert!(NAMED_EXPERIMENTS.contains(&name), "{name}");
+            assert!(experiment_description(name).is_some(), "{name}");
+        }
+    }
 }

@@ -1,6 +1,6 @@
 //! The stateless hash core every fault decision derives from.
 
-use tmo_sim::rng::derive_host_seed;
+use tmo_sim::rng::{derive_host_seed, splitmix64};
 use tmo_sim::seed_ns::FAULT_PLAN_SEED_NS;
 
 /// Salt namespaces, one per fault category, so decisions in different
@@ -17,14 +17,6 @@ pub(crate) mod salt {
     pub const CRASH: u64 = 0xC0;
     pub const CRASH_VICTIM: u64 = 0xC1;
     pub const PANIC: u64 = 0xBAD;
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A deterministic fault schedule for one host.

@@ -1,11 +1,10 @@
-//! Machine-readable output: plain JSON and SARIF 2.1.0.
+//! Machine-readable output: SARIF 2.1.0.
 //!
 //! Hand-rolled serialization (the offline environment has no serde):
 //! the only subtlety is string escaping, which covers the JSON control
 //! set. The human-readable rustc-style rendering stays the default and
-//! is what CI prints on failure; these formats exist for tooling —
-//! `--format sarif` feeds code-scanning UIs, `--format json` is the
-//! stable scripting surface.
+//! is what CI prints on failure; `--format sarif` feeds code-scanning
+//! UIs.
 
 use crate::rules::Rule;
 use crate::Analysis;
@@ -24,52 +23,6 @@ fn esc(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
-}
-
-/// The `tmo-lint` JSON report: findings plus the allow inventory.
-pub fn to_json(analysis: &Analysis) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"tool\": \"tmo-lint\",\n");
-    out.push_str("  \"schema\": \"tmo-lint-v2\",\n");
-    out.push_str(&format!(
-        "  \"files_scanned\": {},\n",
-        analysis.files_scanned
-    ));
-    out.push_str("  \"findings\": [\n");
-    for (i, f) in analysis.findings.iter().enumerate() {
-        let comma = if i + 1 < analysis.findings.len() {
-            ","
-        } else {
-            ""
-        };
-        out.push_str(&format!(
-            "    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}{comma}\n",
-            esc(&f.file),
-            f.line,
-            f.rule.id(),
-            esc(&f.message)
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"allows\": [\n");
-    for (i, a) in analysis.allows.iter().enumerate() {
-        let comma = if i + 1 < analysis.allows.len() {
-            ","
-        } else {
-            ""
-        };
-        out.push_str(&format!(
-            "    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"justification\": \"{}\"}}{comma}\n",
-            esc(&a.file),
-            a.line,
-            esc(&a.rule),
-            esc(&a.justification)
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
     out
 }
 
@@ -141,20 +94,15 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_and_structures() {
-        let j = to_json(&sample());
-        assert!(j.contains("\"files_scanned\": 42"));
-        assert!(j.contains("\\\"quote\\\""));
-        assert!(j.contains("\"rule\": \"wall-clock\""));
-        assert!(j.contains("\"line\": 573"));
-    }
-
-    #[test]
     fn sarif_has_schema_rules_and_results() {
         let s = to_sarif(&sample());
         assert!(s.contains("\"version\": \"2.1.0\""));
         assert!(s.contains("determinism::wall-clock"));
         assert!(s.contains("\"startLine\": 7"));
+        assert!(
+            s.contains("\\\"quote\\\""),
+            "quotes in messages are escaped"
+        );
         assert!(
             s.contains("determinism::stale-allow"),
             "rule table lists all rules"
@@ -163,8 +111,6 @@ mod tests {
 
     #[test]
     fn empty_analysis_is_valid_structure() {
-        let j = to_json(&Analysis::default());
-        assert!(j.contains("\"findings\": [\n  ]"));
         let s = to_sarif(&Analysis::default());
         assert!(s.contains("\"results\": [\n      ]"));
     }

@@ -13,7 +13,6 @@
 //! ```text
 //! cargo run -p tmo-lint                     # analyze, exit 1 on any finding
 //! cargo run -p tmo-lint -- --allows        # print the allow-site inventory
-//! cargo run -p tmo-lint -- --format json   # machine-readable findings
 //! cargo run -p tmo-lint -- --format sarif  # SARIF 2.1.0 for code scanning
 //! ```
 //!

@@ -1,22 +1,21 @@
 //! CLI for the determinism analyzer.
 //!
 //! ```text
-//! tmo-lint [--root <dir>] [--allows] [--format human|json|sarif]
+//! tmo-lint [--root <dir>] [--allows] [--format human|sarif]
 //! ```
 //!
 //! Default mode prints rustc-style diagnostics for every unsuppressed
 //! finding and exits 1 if there are any; `--allows` prints the sorted
 //! inventory of accepted `// lint: allow(...)` sites (compared against
 //! `scripts/golden/lint_clean.txt` in CI so new escape hatches surface
-//! in review); `--format json`/`--format sarif` emit the machine-
-//! readable reports (same exit-code contract as human mode).
+//! in review); `--format sarif` emits the machine-readable SARIF report
+//! (same exit-code contract as human mode).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 enum Format {
     Human,
-    Json,
     Sarif,
 }
 
@@ -37,15 +36,14 @@ fn main() -> ExitCode {
             },
             "--format" => match args.next().as_deref() {
                 Some("human") => format = Format::Human,
-                Some("json") => format = Format::Json,
                 Some("sarif") => format = Format::Sarif,
                 other => {
-                    eprintln!("error: --format requires one of human|json|sarif (got {other:?})");
+                    eprintln!("error: --format requires one of human|sarif (got {other:?})");
                     return ExitCode::from(2);
                 }
             },
             "--help" | "-h" => {
-                eprintln!("usage: tmo-lint [--root <dir>] [--allows] [--format human|json|sarif]");
+                eprintln!("usage: tmo-lint [--root <dir>] [--allows] [--format human|sarif]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -92,7 +90,6 @@ fn main() -> ExitCode {
                 analysis.allows.len()
             );
         }
-        Format::Json => print!("{}", tmo_lint::emit::to_json(&analysis)),
         Format::Sarif => print!("{}", tmo_lint::emit::to_sarif(&analysis)),
     }
     if analysis.findings.is_empty() {

@@ -6,10 +6,10 @@
 //! lists, workingset clock, rate counters and optional `memory.max`
 //! limit.
 
-use tmo_sim::{ByteSize, PageCount, SimDuration};
+use tmo_sim::{ByteSize, PageCount, RateCounter, SimDuration};
 
 use crate::lru::Lrus;
-use crate::workingset::{EvictionClock, RateCounter};
+use crate::workingset::EvictionClock;
 
 /// Identity of a cgroup within one [`crate::MemoryManager`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

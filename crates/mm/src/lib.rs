@@ -15,7 +15,7 @@
 //! * [`cgroup`] — flat per-container cgroups with their own accounting
 //!   and `memory.max` limits.
 //! * [`workingset`] — eviction counters, shadow entries, reuse-distance
-//!   refault classification, and decaying rate counters.
+//!   refault classification.
 //! * [`reclaim`] — the legacy file-skewed policy and TMO's
 //!   refault-balanced policy.
 //! * [`manager`] — [`MemoryManager`], tying pages, cgroups, reclaim, and
@@ -54,4 +54,3 @@ pub use reclaim::ReclaimPolicy;
 pub use stats::{
     AccessOutcome, BatchAccessStats, CgroupStat, FaultKind, GlobalStat, ReclaimOutcome,
 };
-pub use workingset::RateCounter;

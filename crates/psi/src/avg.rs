@@ -2,18 +2,11 @@
 //!
 //! The kernel folds raw stall time into three exponential moving
 //! averages with 10 s, 60 s, and 300 s half-life-style windows, sampled
-//! every 2 s. This module implements the same fold with support for
-//! irregular sampling periods: for a sample of ratio `r` observed over a
-//! period `dt`, each average is updated as
-//!
-//! ```text
-//! decay = exp(-dt / window)
-//! avg   = avg * decay + r * (1 - decay)
-//! ```
-//!
-//! which reduces to the kernel's fixed-point update when `dt` = 2 s.
+//! every 2 s. [`AvgSet`] holds one [`Ewma`] per window, which supports
+//! irregular sampling periods and reduces to the kernel's fixed-point
+//! update when `dt` = 2 s.
 
-use tmo_sim::SimDuration;
+use tmo_sim::{Ewma, SimDuration};
 
 /// The standard PSI averaging windows.
 pub const WINDOW_10S: SimDuration = SimDuration::from_secs(10);
@@ -22,93 +15,31 @@ pub const WINDOW_60S: SimDuration = SimDuration::from_secs(60);
 /// 300-second averaging window.
 pub const WINDOW_300S: SimDuration = SimDuration::from_secs(300);
 
-/// One exponentially-decayed running average of a pressure ratio.
-///
-/// # Example
-///
-/// ```
-/// use tmo_psi::RunningAvg;
-/// use tmo_sim::SimDuration;
-///
-/// let mut avg = RunningAvg::new(SimDuration::from_secs(10));
-/// for _ in 0..100 {
-///     avg.update(0.5, SimDuration::from_secs(2));
-/// }
-/// assert!((avg.value() - 0.5).abs() < 1e-6); // converges to the input
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunningAvg {
-    window_secs: f64,
-    value: f64,
-    /// Sampling period the cached decay factor was computed for.
-    /// Simulation ticks are fixed-length, so the `exp` effectively runs
-    /// once per run instead of once per update; the cache returns the
-    /// exact `f64` the recomputation would, so averages are unchanged.
-    cached_dt_secs: f64,
-    cached_decay: f64,
-}
-
-impl RunningAvg {
-    /// Creates a zeroed average over the given window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn new(window: SimDuration) -> Self {
-        assert!(!window.is_zero(), "averaging window must be non-zero");
-        RunningAvg {
-            window_secs: window.as_secs_f64(),
-            value: 0.0,
-            cached_dt_secs: 0.0,
-            cached_decay: 1.0,
-        }
-    }
-
-    /// Current average in `[0, 1]`.
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-
-    /// Folds in a new observed ratio `r` (clamped to `[0, 1]`) measured
-    /// over `dt`.
-    pub fn update(&mut self, r: f64, dt: SimDuration) {
-        if dt.is_zero() {
-            return;
-        }
-        let r = r.clamp(0.0, 1.0);
-        let dt_secs = dt.as_secs_f64();
-        if dt_secs != self.cached_dt_secs {
-            self.cached_dt_secs = dt_secs;
-            self.cached_decay = (-dt_secs / self.window_secs).exp();
-        }
-        let decay = self.cached_decay;
-        self.value = self.value * decay + r * (1.0 - decay);
-    }
-}
-
 /// The triple of standard PSI averages (avg10 / avg60 / avg300).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AvgSet {
     /// 10-second average.
-    pub avg10: RunningAvg,
+    pub avg10: Ewma,
     /// 60-second average.
-    pub avg60: RunningAvg,
+    pub avg60: Ewma,
     /// 300-second average.
-    pub avg300: RunningAvg,
+    pub avg300: Ewma,
 }
 
 impl AvgSet {
     /// Creates a zeroed set of the three standard averages.
     pub fn new() -> Self {
         AvgSet {
-            avg10: RunningAvg::new(WINDOW_10S),
-            avg60: RunningAvg::new(WINDOW_60S),
-            avg300: RunningAvg::new(WINDOW_300S),
+            avg10: Ewma::new(WINDOW_10S),
+            avg60: Ewma::new(WINDOW_60S),
+            avg300: Ewma::new(WINDOW_300S),
         }
     }
 
-    /// Updates all three averages with the same sample.
+    /// Folds the ratio `r` (clamped to `[0, 1]`) measured over `dt` into
+    /// all three averages.
     pub fn update(&mut self, r: f64, dt: SimDuration) {
+        let r = r.clamp(0.0, 1.0);
         self.avg10.update(r, dt);
         self.avg60.update(r, dt);
         self.avg300.update(r, dt);
@@ -126,26 +57,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn converges_to_constant_input() {
-        let mut avg = RunningAvg::new(WINDOW_10S);
-        for _ in 0..200 {
-            avg.update(0.3, SimDuration::from_secs(2));
-        }
-        assert!((avg.value() - 0.3).abs() < 1e-9);
-    }
-
-    #[test]
-    fn decays_toward_zero_after_pressure_stops() {
-        let mut avg = RunningAvg::new(WINDOW_10S);
-        avg.update(1.0, SimDuration::from_secs(10));
-        let peak = avg.value();
-        for _ in 0..50 {
-            avg.update(0.0, SimDuration::from_secs(2));
-        }
-        assert!(avg.value() < peak * 0.01);
-    }
-
-    #[test]
     fn shorter_window_reacts_faster() {
         let mut set = AvgSet::new();
         for _ in 0..5 {
@@ -157,31 +68,18 @@ mod tests {
 
     #[test]
     fn clamps_out_of_range_inputs() {
-        let mut avg = RunningAvg::new(WINDOW_10S);
-        avg.update(5.0, SimDuration::from_secs(100));
-        assert!(avg.value() <= 1.0);
-        let mut avg2 = RunningAvg::new(WINDOW_10S);
-        avg2.update(-5.0, SimDuration::from_secs(100));
-        assert!(avg2.value() >= 0.0);
+        let mut set = AvgSet::new();
+        set.update(5.0, SimDuration::from_secs(100));
+        assert!(set.avg10.value() <= 1.0);
+        let mut set = AvgSet::new();
+        set.update(-5.0, SimDuration::from_secs(100));
+        assert!(set.avg10.value() >= 0.0);
     }
 
     #[test]
     fn zero_dt_is_noop() {
-        let mut avg = RunningAvg::new(WINDOW_10S);
-        avg.update(1.0, SimDuration::ZERO);
-        assert_eq!(avg.value(), 0.0);
-    }
-
-    #[test]
-    fn single_large_dt_jumps_close_to_input() {
-        let mut avg = RunningAvg::new(WINDOW_10S);
-        avg.update(0.8, SimDuration::from_secs(100)); // 10 windows
-        assert!((avg.value() - 0.8).abs() < 1e-4);
-    }
-
-    #[test]
-    #[should_panic(expected = "averaging window must be non-zero")]
-    fn zero_window_panics() {
-        let _ = RunningAvg::new(SimDuration::ZERO);
+        let mut set = AvgSet::new();
+        set.update(1.0, SimDuration::ZERO);
+        assert_eq!(set, AvgSet::new());
     }
 }

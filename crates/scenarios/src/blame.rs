@@ -8,6 +8,10 @@
 //! "who pushed whom out". A container growing while it stalls charges
 //! (part of) its own bill to itself; a victim stalling while only its
 //! neighbour grows charges the neighbour.
+//!
+//! The same matrix holds the causal attribution of
+//! [`provenance`](crate::provenance): [`BlameLedger::charge`] adds one
+//! drained reclaim-provenance charge instead of a growth split.
 
 use tmo_sim::SimDuration;
 
@@ -79,6 +83,12 @@ impl BlameLedger {
         }
     }
 
+    /// Adds one drained charge: `victim` stalled for `stall` because of
+    /// `offender`'s allocations.
+    pub fn charge(&mut self, victim: usize, offender: usize, stall: SimDuration) {
+        self.charged[victim * self.n + offender] += stall.as_secs_f64();
+    }
+
     /// Seconds of `victim`'s stall charged to `offender`.
     pub fn charged(&self, victim: usize, offender: usize) -> f64 {
         self.charged[victim * self.n + offender]
@@ -106,11 +116,21 @@ impl BlameLedger {
 
     /// The offender with the largest *cross-container* charge summed
     /// over every victim but itself — the host-level "who is the
-    /// antagonist" answer, comparable with
-    /// [`CausalLedger::top_cross_offender`](crate::provenance::CausalLedger::top_cross_offender).
-    /// Self-charges are excluded; ties go to the smallest index.
+    /// antagonist" answer. Self-charges (Senpai shrinking a container
+    /// for its own good, thrash under a static footprint) are excluded;
+    /// ties go to the smallest index.
     pub fn top_cross_offender(&self) -> Option<(usize, f64)> {
-        crate::provenance::top_cross_offender_of(self.n, |v, o| self.charged(v, o))
+        let mut best: Option<(usize, f64)> = None;
+        for offender in 0..self.n {
+            let total: f64 = (0..self.n)
+                .filter(|&v| v != offender)
+                .map(|v| self.charged(v, offender))
+                .sum();
+            if total > 0.0 && best.is_none_or(|(_, b)| total > b) {
+                best = Some((offender, total));
+            }
+        }
+        best
     }
 
     /// The single largest *cross-container* charge in the ledger — the

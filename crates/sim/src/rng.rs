@@ -29,7 +29,10 @@ pub struct DetRng {
     state: [u64; 4],
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
+/// One SplitMix64 step: advances `state` and returns the mixed output.
+/// The seed expander behind [`DetRng`], host-seed derivation and the
+/// stateless fault-plan hashes.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -4,7 +4,11 @@
 //! sample is wasteful. [`P2Quantile`] implements the P² algorithm (Jain
 //! & Chlamtac, 1985): a constant-space estimator that maintains five
 //! markers and adjusts them with piecewise-parabolic interpolation.
-//! [`Welford`] tracks mean/variance in constant space.
+//! [`Welford`] tracks mean/variance in constant space. [`Ewma`] is the
+//! exponentially decayed average behind PSI's avg10/60/300 and every
+//! smoothed rate; [`RateCounter`] feeds it per-tick event counts.
+
+use crate::time::SimDuration;
 
 /// Streaming quantile estimator (the P² algorithm).
 ///
@@ -213,6 +217,137 @@ impl Welford {
     }
 }
 
+/// An exponentially decayed average over a time window, sampled at
+/// possibly irregular periods. For a sample `x` observed over `dt`:
+///
+/// ```text
+/// decay = exp(-dt / window)
+/// value = value * decay + x * (1 - decay)
+/// ```
+///
+/// # Example
+///
+/// ```
+/// use tmo_sim::{Ewma, SimDuration};
+///
+/// let mut avg = Ewma::new(SimDuration::from_secs(10));
+/// for _ in 0..100 {
+///     avg.update(0.5, SimDuration::from_secs(2));
+/// }
+/// assert!((avg.value() - 0.5).abs() < 1e-6); // converges to the input
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Ewma {
+    window_secs: f64,
+    value: f64,
+    /// Sampling period the cached decay factor was computed for.
+    /// Simulation ticks are fixed-length, so the `exp` runs once per
+    /// run instead of once per update; the cache returns the exact
+    /// `f64` the recomputation would, so averages are unchanged.
+    cached_dt_secs: f64,
+    cached_decay: f64,
+}
+
+impl Ewma {
+    /// Creates a zeroed average over the given window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero.
+    pub fn new(window: SimDuration) -> Self {
+        assert!(!window.is_zero(), "averaging window must be non-zero");
+        Ewma {
+            window_secs: window.as_secs_f64(),
+            value: 0.0,
+            cached_dt_secs: 0.0,
+            cached_decay: 1.0,
+        }
+    }
+
+    /// Current average.
+    pub fn value(&self) -> f64 {
+        self.value
+    }
+
+    /// Folds in `sample`, observed over `dt`. A zero `dt` is a no-op.
+    pub fn update(&mut self, sample: f64, dt: SimDuration) {
+        if dt.is_zero() {
+            return;
+        }
+        let dt_secs = dt.as_secs_f64();
+        if dt_secs != self.cached_dt_secs {
+            self.cached_dt_secs = dt_secs;
+            self.cached_decay = (-dt_secs / self.window_secs).exp();
+        }
+        let decay = self.cached_decay;
+        self.value = self.value * decay + sample * (1.0 - decay);
+    }
+}
+
+/// A decaying event-rate estimate (events/second): events counted
+/// during a tick are folded into an [`Ewma`] of the per-second rate
+/// when the tick ends.
+///
+/// # Example
+///
+/// ```
+/// use tmo_sim::{RateCounter, SimDuration};
+///
+/// let mut r = RateCounter::new(SimDuration::from_secs(30));
+/// for _ in 0..120 {
+///     r.add(10);
+///     r.tick(SimDuration::from_secs(1)); // 10 events/s sustained
+/// }
+/// assert!((r.rate() - 10.0).abs() < 0.5);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RateCounter {
+    pending: u64,
+    total: u64,
+    rate: Ewma,
+}
+
+impl RateCounter {
+    /// Creates a counter with the given averaging window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero.
+    pub fn new(window: SimDuration) -> Self {
+        RateCounter {
+            pending: 0,
+            total: 0,
+            rate: Ewma::new(window),
+        }
+    }
+
+    /// Records `n` events.
+    pub fn add(&mut self, n: u64) {
+        self.pending += n;
+        self.total += n;
+    }
+
+    /// Folds pending events into the rate; call once per tick. A zero
+    /// `dt` keeps the events pending.
+    pub fn tick(&mut self, dt: SimDuration) {
+        if dt.is_zero() {
+            return;
+        }
+        self.rate.update(self.pending as f64 / dt.as_secs_f64(), dt);
+        self.pending = 0;
+    }
+
+    /// Smoothed events/second.
+    pub fn rate(&self) -> f64 {
+        self.rate.value()
+    }
+
+    /// Cumulative event count (monotonic, like a `memory.stat` counter).
+    pub fn total(&self) -> u64 {
+        self.total
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,5 +431,89 @@ mod tests {
         w.observe(42.0);
         assert_eq!(w.mean(), 42.0);
         assert_eq!(w.variance(), 0.0);
+    }
+
+    #[test]
+    fn ewma_cached_decay_matches_recomputation_bit_for_bit() {
+        // Fixed runs, changes, repeats after a change, and zeros.
+        let dts_ms = [
+            100, 100, 100, 2000, 2000, 0, 2000, 100, 0, 0, 100, 7, 1, 100, 60_000, 100,
+        ];
+        let mut rng = DetRng::seed_from_u64(4);
+        for window in [2, 10, 60, 300] {
+            let window = SimDuration::from_secs(window);
+            let mut cached = Ewma::new(window);
+            let mut reference = 0.0f64;
+            for &ms in dts_ms.iter().cycle().take(400) {
+                let sample = rng.uniform() * 1e6;
+                let dt = SimDuration::from_millis(ms);
+                cached.update(sample, dt);
+                if ms > 0 {
+                    let decay = (-dt.as_secs_f64() / window.as_secs_f64()).exp();
+                    reference = reference * decay + sample * (1.0 - decay);
+                }
+                assert_eq!(cached.value().to_bits(), reference.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn ewma_converges_to_constant_input() {
+        let mut avg = Ewma::new(SimDuration::from_secs(10));
+        for _ in 0..200 {
+            avg.update(0.3, SimDuration::from_secs(2));
+        }
+        assert!((avg.value() - 0.3).abs() < 1e-9);
+    }
+
+    #[test]
+    fn ewma_decays_toward_zero_after_input_stops() {
+        let mut avg = Ewma::new(SimDuration::from_secs(10));
+        avg.update(1.0, SimDuration::from_secs(10));
+        let peak = avg.value();
+        for _ in 0..50 {
+            avg.update(0.0, SimDuration::from_secs(2));
+        }
+        assert!(avg.value() < peak * 0.01);
+    }
+
+    #[test]
+    fn ewma_single_large_dt_jumps_close_to_input() {
+        let mut avg = Ewma::new(SimDuration::from_secs(10));
+        avg.update(0.8, SimDuration::from_secs(100)); // 10 windows
+        assert!((avg.value() - 0.8).abs() < 1e-4);
+    }
+
+    #[test]
+    #[should_panic(expected = "averaging window must be non-zero")]
+    fn ewma_zero_window_panics() {
+        let _ = Ewma::new(SimDuration::ZERO);
+    }
+
+    #[test]
+    fn rate_counter_converges_and_decays() {
+        let mut r = RateCounter::new(SimDuration::from_secs(10));
+        for _ in 0..100 {
+            r.add(5);
+            r.tick(SimDuration::from_secs(1));
+        }
+        assert!((r.rate() - 5.0).abs() < 0.1, "rate {}", r.rate());
+        for _ in 0..100 {
+            r.tick(SimDuration::from_secs(1));
+        }
+        assert!(r.rate() < 0.01);
+        assert_eq!(r.total(), 500);
+    }
+
+    #[test]
+    fn rate_counter_zero_dt_noop() {
+        let mut r = RateCounter::new(SimDuration::from_secs(10));
+        r.add(3);
+        r.tick(SimDuration::ZERO);
+        assert_eq!(r.rate(), 0.0);
+        assert_eq!(r.total(), 3);
+        // The events stay pending until a real tick folds them in.
+        r.tick(SimDuration::from_secs(1));
+        assert!(r.rate() > 0.0);
     }
 }

@@ -17,24 +17,32 @@ use tmo::prelude::*;
 use tmo_mm::render::render_memory_stat;
 use tmo_repro::{tmo, tmo_mm};
 
+/// The buggy binary: 1 MiB/s of write-once file cache that is never
+/// read again.
+#[derive(Debug)]
+struct SelfExtractingBinary;
+
+impl WorkloadModulator for SelfExtractingBinary {
+    fn churn_bytes_per_sec(&self, _container: usize, _now: SimTime) -> ByteSize {
+        ByteSize::from_mib(1)
+    }
+}
+
 fn run_variant(buggy: bool, senpai: bool) -> (f64, f64, u64) {
     let mut machine = Machine::new(MachineConfig {
         dram: ByteSize::from_mib(512),
         seed: 51,
         ..MachineConfig::default()
     });
-    let id = machine.add_container_with(
-        &apps::analytics().with_mem_total(ByteSize::from_mib(96)),
-        ContainerConfig {
-            file_churn: buggy.then(|| ByteSize::from_mib(1)), // 1 MiB/s of junk
-            ..ContainerConfig::default()
-        },
-    );
+    let id = machine.add_container(&apps::analytics().with_mem_total(ByteSize::from_mib(96)));
+    if buggy {
+        machine.set_modulator(Box::new(SelfExtractingBinary));
+    }
     let mut rt = if senpai {
         TmoRuntime::with_senpai(
             machine,
             SenpaiConfig {
-                file_only: true,
+                write_limit_mbps: None,
                 ..SenpaiConfig::accelerated(80.0)
             },
         )
@@ -86,13 +94,8 @@ fn main() {
         seed: 52,
         ..MachineConfig::default()
     });
-    let id = machine.add_container_with(
-        &apps::analytics().with_mem_total(ByteSize::from_mib(96)),
-        ContainerConfig {
-            file_churn: Some(ByteSize::from_mib(1)),
-            ..ContainerConfig::default()
-        },
-    );
+    let id = machine.add_container(&apps::analytics().with_mem_total(ByteSize::from_mib(96)));
+    machine.set_modulator(Box::new(SelfExtractingBinary));
     machine.run(SimDuration::from_mins(2));
     println!("\nmemory.stat of the buggy container after two minutes:");
     let stat = machine.mm().cgroup_stat(machine.container(id).cgroup());

@@ -12,6 +12,14 @@ cargo build --release --workspace --offline
 echo "==> cargo test -q"
 cargo test -q --workspace --offline
 
+echo "==> examples: run each once (release)"
+# `cargo test` only compiles the examples. Running each one (well under
+# a second in total) catches a panic or a broken API path in the code
+# readers copy from.
+for example in examples/*.rs; do
+    cargo run --release --offline --quiet --example "$(basename "$example" .rs)" > /dev/null
+done
+
 echo "==> seed stability: 1k-host jobs sweep (release)"
 # The determinism contract at scale, as a hard gate: a 1000-host fleet
 # swept across jobs ∈ {1,3,8} must produce a bit-identical FleetSummary

@@ -21,7 +21,8 @@
 //! regression shows up both here and as a byte diff in CI.
 
 use tmo::runner::FleetRunner;
-use tmo_experiments::ext_blame_validation::{build_host, planted_cases, run_config, simulate_with};
+use tmo_experiments::ext_adversarial::run_config;
+use tmo_experiments::ext_blame_validation::{build_host, planted_cases, simulate_with};
 use tmo_experiments::Scale;
 use tmo_repro::{tmo, tmo_scenarios};
 use tmo_scenarios::prelude::*;
@@ -63,7 +64,7 @@ fn steady_hosts_accuse_no_one() {
     // antagonists. Pro-rata cannot make this guarantee — that asymmetry
     // is the point of provenance.
     let scale = Scale::Quick;
-    let cfg = run_config(scale);
+    let cfg = run_config(scale, false);
     let steady = Scenario::new("steady_innocent", "no events at all");
     for seed in [7u64, 1234] {
         let (outcome, _) = run_scenario(build_host(seed, scale), &steady, &cfg);

@@ -2,7 +2,7 @@
 //! kernel MM → PSI → Senpai → backend — exercised end to end.
 
 use tmo::prelude::*;
-use tmo_repro::{tmo, tmo_psi, tmo_senpai, tmo_workload};
+use tmo_repro::{tmo, tmo_psi, tmo_scenarios, tmo_senpai, tmo_workload};
 
 fn zswap_machine(dram_mib: u64, seed: u64) -> Machine {
     Machine::new(MachineConfig {
@@ -72,7 +72,7 @@ fn file_only_mode_never_touches_swap() {
     let mut rt = TmoRuntime::with_senpai(
         machine,
         SenpaiConfig {
-            file_only: true,
+            write_limit_mbps: None,
             ..SenpaiConfig::accelerated(40.0)
         },
     );
@@ -293,7 +293,7 @@ fn host_psi_aggregates_all_containers() {
 
 #[test]
 fn diurnal_load_modulates_memory_behaviour() {
-    use tmo_workload::DiurnalPattern;
+    use tmo_scenarios::prelude::*;
 
     // A compressed 4-minute "day": demand troughs at 20% of peak.
     let mut machine = Machine::new(MachineConfig {
@@ -301,13 +301,17 @@ fn diurnal_load_modulates_memory_behaviour() {
         seed: 61,
         ..MachineConfig::default()
     });
-    let id = machine.add_container_with(
-        &tmo_workload::apps::feed().with_mem_total(ByteSize::from_mib(128)),
-        ContainerConfig {
-            diurnal: Some(DiurnalPattern::with_period(0.2, 240.0)),
-            ..ContainerConfig::default()
+    let id =
+        machine.add_container(&tmo_workload::apps::feed().with_mem_total(ByteSize::from_mib(128)));
+    let day = Scenario::new("day", "one compressed day").with_event(
+        Target::All,
+        Window::always(),
+        EventKind::Diurnal {
+            trough: 0.2,
+            period: SimDuration::from_secs(240),
         },
     );
+    machine.set_modulator(Box::new(ScenarioEngine::new(day, 61)));
     // Collect access counts over the day.
     let mut trough_accesses = 0u64;
     let mut peak_accesses = 0u64;
