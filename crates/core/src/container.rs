@@ -1,5 +1,7 @@
 //! Container instantiation and per-tick workload execution state.
 
+use std::collections::VecDeque;
+
 use tmo_mm::{CgroupId, PageId};
 use tmo_psi::PsiGroup;
 use tmo_sim::{ByteSize, SeriesId, SimDuration};
@@ -89,8 +91,10 @@ pub struct Container {
     /// Fractional churn carry between ticks.
     pub(crate) churn_carry: f64,
     /// Write-once never-read file pages created by a modulator's churn
-    /// (the §5.1 self-extracting-binary anecdote).
-    pub(crate) churn_pages: Vec<PageId>,
+    /// (the §5.1 self-extracting-binary anecdote), in allocation order.
+    /// Reclaim evicts them in that order, so the evicted ones are
+    /// always a prefix (DESIGN.md, "Churn reaping").
+    pub(crate) churn_pages: VecDeque<PageId>,
     /// Anonymous pages leaked by a scenario modulator: allocated, never
     /// touched again, released only when the container is killed.
     pub(crate) leak_pages: Vec<PageId>,

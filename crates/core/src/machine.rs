@@ -1,5 +1,7 @@
 //! One simulated datacenter host.
 
+use std::collections::VecDeque;
+
 use tmo_backends::{OffloadBackend, SsdModel, ZswapAllocator, ZswapPool};
 use tmo_faults::{FaultConfig, FaultPlan, FaultyBackend, HostFaults, SignalFate};
 use tmo_mm::{MemoryManager, MmConfig, PageKind, ReclaimOutcome, ReclaimPolicy};
@@ -512,7 +514,7 @@ impl Machine {
             swap_full_seen: false,
             alive: true,
             churn_carry: 0.0,
-            churn_pages: Vec::new(),
+            churn_pages: VecDeque::new(),
             leak_pages: Vec::new(),
             leak_carry: 0.0,
             initial_resident_pages,
@@ -687,16 +689,27 @@ impl Machine {
                     Err(_) => stats.alloc_failed = true,
                 }
             }
-            // Collect evicted churn pages.
+            // Reap evicted churn pages. Nothing touches a churn page
+            // after allocation, so reclaim evicts them from the
+            // inactive file LRU tail in allocation order: the dead ones
+            // are exactly the front run of the deque, and the live rest
+            // is never read.
+            let c = &mut self.containers[ci];
             let mm = &self.mm;
-            let (live, dead): (Vec<_>, Vec<_>) = self.containers[ci]
+            let dead = c
                 .churn_pages
-                .drain(..)
-                .partition(|&p| mm.page(p).is_resident());
-            self.containers[ci].churn_pages = live;
-            if !dead.is_empty() {
-                self.mm.free_pages_of(&dead);
-            }
+                .iter()
+                .take_while(|&&p| !mm.page(p).is_resident())
+                .count();
+            let (front, back) = c.churn_pages.as_slices();
+            let split = dead.min(front.len());
+            self.mm.free_pages_of(&front[..split]);
+            self.mm.free_pages_of(&back[..dead - split]);
+            c.churn_pages.drain(..dead);
+            debug_assert!(
+                c.churn_pages.iter().all(|&p| self.mm.page(p).is_resident()),
+                "an evicted churn page sits behind a resident one"
+            );
         }
 
         // 1c. Scenario memory leak: anonymous pages allocated and never
@@ -1114,18 +1127,16 @@ impl Machine {
     /// owns — resident, offloaded, and shadow entries — and stops its
     /// workload. The container id stays valid for inspection.
     pub fn kill_container(&mut self, id: ContainerId) {
-        let mut pages: Vec<tmo_mm::PageId> = self.containers[id.0]
-            .class_pages
-            .iter()
-            .flatten()
-            .copied()
-            .collect();
-        pages.extend(self.containers[id.0].churn_pages.iter().copied());
-        pages.extend(self.containers[id.0].leak_pages.iter().copied());
-        self.mm.free_pages_of(&pages);
         let c = &mut self.containers[id.0];
-        c.class_pages.iter_mut().for_each(Vec::clear);
+        for class in &mut c.class_pages {
+            self.mm.free_pages_of(class);
+            class.clear();
+        }
+        let (front, back) = c.churn_pages.as_slices();
+        self.mm.free_pages_of(front);
+        self.mm.free_pages_of(back);
         c.churn_pages.clear();
+        self.mm.free_pages_of(&c.leak_pages);
         c.leak_pages.clear();
         c.leak_carry = 0.0;
         c.alive = false;
@@ -1407,14 +1418,29 @@ mod tests {
         }
     }
 
-    /// 1 MiB/s of write-once file cache in every container.
+    /// Write-once file cache at a fixed rate in every container.
     #[derive(Debug)]
-    struct JunkChurn;
+    struct JunkChurn(ByteSize);
 
     impl WorkloadModulator for JunkChurn {
         fn churn_bytes_per_sec(&self, _container: usize, _now: SimTime) -> ByteSize {
-            ByteSize::from_mib(1)
+            self.0
         }
+    }
+
+    /// Churn pages of `id` that reclaim has evicted but the tick has not
+    /// yet reaped, checked against the full-scan oracle: every one of
+    /// them must sit in front of the first resident churn page.
+    fn evicted_churn_prefix(m: &Machine, id: ContainerId) -> usize {
+        let resident = |p: &tmo_mm::PageId| m.mm().page(*p).is_resident();
+        let churn = &m.container(id).churn_pages;
+        let prefix = churn.iter().take_while(|p| !resident(p)).count();
+        let evicted = churn.iter().filter(|p| !resident(p)).count();
+        assert_eq!(
+            prefix, evicted,
+            "{id}: {evicted} evicted churn pages, only {prefix} of them in front"
+        );
+        prefix
     }
 
     #[test]
@@ -1426,7 +1452,7 @@ mod tests {
             ..MachineConfig::default()
         });
         let id = m.add_container(&small_profile());
-        m.set_modulator(Box::new(JunkChurn));
+        m.set_modulator(Box::new(JunkChurn(ByteSize::from_mib(1))));
         let cg = m.container(id).cgroup();
         let before = m.mm().cgroup_stat(cg).file_resident;
         m.run(SimDuration::from_secs(60));
@@ -1435,11 +1461,134 @@ mod tests {
         let grown = (after - before).to_bytes(m.config().page_size);
         assert!(grown >= ByteSize::from_mib(55), "churn grew only {grown}");
         // A proactive reclaim sweeps the never-read pages first; the
-        // following ticks then drop their page structs entirely.
+        // next tick then drops their page structs entirely. The binary
+        // has finished writing, so that tick adds no churn pages.
+        let listed = m.container(id).churn_pages.len();
         m.reclaim(id, ByteSize::from_mib(60));
-        m.run(SimDuration::from_secs(1));
-        let junk_left = m.container(id).churn_pages.len() as u64;
-        assert!(junk_left < 1000, "junk pages left: {junk_left}");
+        let evicted = evicted_churn_prefix(&m, id);
+        assert!(evicted > 0, "the reclaim evicted no churn pages");
+        m.set_modulator(Box::new(JunkChurn(ByteSize::ZERO)));
+        m.tick();
+        assert_eq!(evicted_churn_prefix(&m, id), 0);
+        assert_eq!(m.container(id).churn_pages.len(), listed - evicted);
+    }
+
+    /// Write-once file cache in every container, slow enough for
+    /// Senpai to keep up for 90 s and then fast enough to force direct
+    /// reclaim, plus a 64 KiB/s anonymous leak in container 0.
+    #[derive(Debug)]
+    struct ChurnAndLeak;
+
+    impl WorkloadModulator for ChurnAndLeak {
+        fn churn_bytes_per_sec(&self, _container: usize, now: SimTime) -> ByteSize {
+            if now.as_secs_f64() < 90.0 {
+                ByteSize::from_kib(512)
+            } else {
+                ByteSize::from_mib(8)
+            }
+        }
+
+        fn leak_bytes_per_sec(&self, container: usize, _now: SimTime) -> ByteSize {
+            if container == 0 {
+                ByteSize::from_kib(64)
+            } else {
+                ByteSize::ZERO
+            }
+        }
+    }
+
+    #[test]
+    fn evicted_churn_pages_stay_a_prefix_and_kill_frees_every_page() {
+        use crate::runtime::TmoRuntime;
+        use tmo_mm::page::PageState;
+        use tmo_senpai::SenpaiConfig;
+
+        let mut m = Machine::new(MachineConfig {
+            dram: ByteSize::from_mib(192),
+            swap: SwapKind::Zswap {
+                capacity_fraction: 0.2,
+                allocator: ZswapAllocator::Zsmalloc,
+            },
+            ..MachineConfig::default()
+        });
+        let mut second = small_profile();
+        second.name = "Feed2".into();
+        let ids = [m.add_container(&small_profile()), m.add_container(&second)];
+        m.set_modulator(Box::new(ChurnAndLeak));
+        let senpai = SenpaiConfig {
+            interval: SimDuration::from_secs(1),
+            reclaim_ratio: 0.05,
+            max_step_fraction: 0.08,
+            ..SenpaiConfig::production()
+        };
+        let mut rt = TmoRuntime::with_senpai(m, senpai);
+        // Churn pages found evicted after a tick in which only Senpai
+        // reclaimed, and after one in which only direct reclaim ran.
+        let (mut by_senpai, mut by_direct) = (0, 0);
+        for _ in 0..1500 {
+            let direct_before = rt.machine().mm().global_stat().direct_reclaims;
+            rt.tick();
+            let m = rt.machine();
+            let direct = m.mm().global_stat().direct_reclaims > direct_before;
+            let now = m.now().as_secs_f64();
+            let senpai = ids.iter().any(|&id| {
+                m.recorder()
+                    .series(&format!("{}.reclaim_mib", m.container(id).name()))
+                    .and_then(|s| s.samples().last())
+                    .is_some_and(|s| s.time_secs == now)
+            });
+            for &id in &ids {
+                let dead = evicted_churn_prefix(m, id);
+                match (senpai, direct) {
+                    (true, false) => by_senpai += dead,
+                    (false, true) => by_direct += dead,
+                    _ => {}
+                }
+            }
+        }
+        assert!(by_senpai > 0, "Senpai never evicted a churn page");
+        assert!(by_direct > 0, "direct reclaim never evicted a churn page");
+
+        // Kill container 0 while it holds pages in every state,
+        // including evicted churn pages the next tick would reap.
+        let victim = ids[0];
+        for _ in 0..100 {
+            if evicted_churn_prefix(rt.machine(), victim) > 0 {
+                break;
+            }
+            rt.tick();
+        }
+        let m = rt.machine_mut();
+        assert!(
+            evicted_churn_prefix(m, victim) > 0,
+            "no evicted churn page awaits reaping"
+        );
+        let stat = m.mm().cgroup_stat(m.container(victim).cgroup());
+        assert!(stat.resident().as_u64() > 0 && stat.anon_offloaded.as_u64() > 0);
+        let c = m.container(victim);
+        assert!(!c.leak_pages.is_empty());
+        let owned: Vec<tmo_mm::PageId> = c
+            .class_pages
+            .iter()
+            .flatten()
+            .chain(&c.churn_pages)
+            .chain(&c.leak_pages)
+            .copied()
+            .collect();
+        m.kill_container(victim);
+        for &p in &owned {
+            assert_eq!(
+                m.mm().page(p).state(),
+                PageState::Freed,
+                "{p} survived the kill"
+            );
+        }
+        let stat = m.mm().cgroup_stat(m.container(victim).cgroup());
+        assert_eq!(stat.footprint().as_u64(), 0);
+        assert_eq!(stat.file_evicted.as_u64(), 0);
+        let c = m.container(victim);
+        assert!(c.churn_pages.is_empty() && c.leak_pages.is_empty());
+        assert!(c.class_pages.iter().all(Vec::is_empty));
     }
 
     #[test]

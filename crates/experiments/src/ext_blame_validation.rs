@@ -57,8 +57,8 @@ pub fn planted_cases(scale: Scale) -> Vec<PlantedScenario> {
 /// zswap pool (10% of DRAM instead of 25%) on purpose: the planted
 /// offender must be able to exhaust the offload path so its pressure
 /// reaches the victims.
-pub fn build_host(seed: u64, scale: Scale) -> Machine {
-    ext_adversarial::three_container_host(seed, scale, None, MachineScratch::default(), 0.10)
+pub fn build_host(seed: u64, scale: Scale, scratch: MachineScratch) -> Machine {
+    ext_adversarial::three_container_host(seed, scale, None, scratch, 0.10)
 }
 
 /// One planted case's fleet-aggregated verdict.
@@ -86,8 +86,12 @@ pub struct CaseResult {
 pub fn run_case(runner: &FleetRunner, case: &PlantedScenario, scale: Scale) -> CaseResult {
     let cfg = ext_adversarial::run_config(scale, false);
     let (rows, stats) =
-        runner.run_collect_seeded_sharded(EXPERIMENT_SEED, HOSTS_PER_CASE, |host, _arena| {
-            evaluate_planted(case, &cfg, || build_host(host.seed, scale))
+        runner.run_collect_seeded_sharded(EXPERIMENT_SEED, HOSTS_PER_CASE, |host, arena| {
+            let (row, scratch) = evaluate_planted(case, &cfg, arena.take_scratch(), |scratch| {
+                build_host(host.seed, scale, scratch)
+            });
+            arena.put_scratch(scratch);
+            row
         });
     // Diagnostics to stderr: stdout must stay bit-identical per --jobs.
     eprintln!(

@@ -175,13 +175,18 @@ fn cross_edge_error(
 /// hosts (`mk_host` must build the same machine twice), derives the
 /// counterfactual ground truth — the extra stall each victim suffered
 /// *because* the planted event ran — and scores both ledgers.
+///
+/// `scratch` goes to the first host, the first host's scratch to the
+/// second, and the second's is returned for the next caller to adopt
+/// (scratch carries capacity only, so reuse cannot move a result).
 pub fn evaluate_planted(
     planted: &PlantedScenario,
     cfg: &ScenarioRunConfig,
-    mut mk_host: impl FnMut() -> Machine,
-) -> GroundTruthRow {
-    let (with, _) = run_scenario(mk_host(), &planted.scenario, cfg);
-    let (without, _) = run_scenario(mk_host(), &planted.baseline, cfg);
+    scratch: MachineScratch,
+    mut mk_host: impl FnMut(MachineScratch) -> Machine,
+) -> (GroundTruthRow, MachineScratch) {
+    let (with, machine) = run_scenario(mk_host(scratch), &planted.scenario, cfg);
+    let (without, machine) = run_scenario(mk_host(machine.into_scratch()), &planted.baseline, cfg);
     let n = with.reports.len();
     let gt_extra: Vec<f64> = (0..n)
         .map(|v| {
@@ -194,7 +199,7 @@ pub fn evaluate_planted(
             }
         })
         .collect();
-    GroundTruthRow {
+    let row = GroundTruthRow {
         scenario: planted.scenario.name.clone(),
         offender: planted.offender,
         causal_top: with.causal.top_cross_offender().map(|(o, _)| o),
@@ -206,7 +211,8 @@ pub fn evaluate_planted(
             with.blame.charged(v, o)
         }),
         extra_stall_secs: gt_extra.iter().sum(),
-    }
+    };
+    (row, machine.into_scratch())
 }
 
 #[cfg(test)]

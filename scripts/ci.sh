@@ -118,6 +118,26 @@ echo "==> perfbench: build and self-tests"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test --release -q --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench: output checks on every workload"
+# One short run of each benchmark workload (~30 s together on 2 cores).
+# The last stdout line is JSON whose "correct" field covers the output
+# digests, jobs=1 against jobs=nproc, the figure bytes and the memory
+# and PSI invariants; a run that reads anything but true fails CI and
+# prints the report's FAILED lines. stderr is dropped: scenario_chaos
+# prints a backtrace for every host panic its fault schedule injects.
+for workload in fleet_zswap scenario_chaos figure_suite; do
+    report=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 2>/dev/null) || true
+    case "$(tail -n 1 <<< "$report")" in
+        '{"correct": true,'*) echo "    $workload: correct" ;;
+        *)
+            grep '^FAILED' <<< "$report" || true
+            echo "perfbench $workload failed its output checks"
+            exit 1
+            ;;
+    esac
+done
+
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy -- -D warnings"
     cargo clippy --workspace --all-targets --offline -- -D warnings

@@ -21,6 +21,7 @@
 //! regression shows up both here and as a byte diff in CI.
 
 use tmo::runner::FleetRunner;
+use tmo::MachineScratch;
 use tmo_experiments::ext_adversarial::run_config;
 use tmo_experiments::ext_blame_validation::{build_host, planted_cases, simulate_with};
 use tmo_experiments::Scale;
@@ -67,7 +68,11 @@ fn steady_hosts_accuse_no_one() {
     let cfg = run_config(scale, false);
     let steady = Scenario::new("steady_innocent", "no events at all");
     for seed in [7u64, 1234] {
-        let (outcome, _) = run_scenario(build_host(seed, scale), &steady, &cfg);
+        let (outcome, _) = run_scenario(
+            build_host(seed, scale, MachineScratch::default()),
+            &steady,
+            &cfg,
+        );
         let n = outcome.causal.len();
         for v in 0..n {
             for o in 0..n {
